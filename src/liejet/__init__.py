@@ -13,22 +13,14 @@ from .algebra import (
     MissingAtomError,
     NonSquareError,
     Poly,
-    Rational,
     THETA,
     atom_str,
     coord,
     divide_exact,
-    evaluate,
     func_partial,
     jet,
     nullspace,
-    partial_derivative,
-    poly_add,
-    poly_mul,
-    poly_neg,
-    poly_pow,
     poly_str,
-    substitute,
     sym_adjugate,
     sym_det,
 )
@@ -90,7 +82,6 @@ from .dsl import (
     DivisionNotSupportedError,
     IndexOutOfRangeError,
     ParseError,
-    format_polynomial,
     format_vector_field,
     parse_expression,
     parse_vector_field,

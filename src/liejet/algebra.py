@@ -30,8 +30,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 KIND_COORD = 0
 KIND_DEP = 1
 KIND_JET = 2
@@ -412,34 +410,14 @@ def _as_poly(value) -> Poly:
     raise TypeError(f"cannot coerce {value!r} to Poly")
 
 
-# Functional aliases for callers that prefer free functions over methods.
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_neg(p: Poly) -> Poly:
-    return -p
-
-
-def poly_pow(p: Poly, n: int) -> Poly:
-    return p ** n
-
-
-def partial_derivative(p: Poly, a: Atom) -> Poly:
-    return p.diff(a)
-
-
-def substitute(p: Poly, a: Atom, r) -> Poly:
-    return p.subs(a, r)
-
-
-def evaluate(p: Poly, env: Mapping[Atom, Fraction]) -> Fraction:
-    return p.evaluate(env)
+def point_partial(p: Poly, xs: Iterable[int] = (), du: int = 0) -> Poly:
+    """Partial derivative of a polynomial in (x, u): once by x^i for every
+    i in `xs`, then `du` times by u."""
+    for i in xs:
+        p = p.diff(coord(i))
+    for _ in range(du):
+        p = p.diff(DEP)
+    return p
 
 
 # -- deterministic term order -------------------------------------------------
@@ -707,10 +685,3 @@ def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | Non
         x[c] = b[r]
     return x
 
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())

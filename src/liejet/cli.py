@@ -4,7 +4,8 @@ Subcommands: prolong, check, classify, determining, bracket-table, orbit,
 sample.  Output is human text or JSON (schema 1); every rational is
 serialized as a string "p/q" so exactness survives the wire, and JSON
 reports are byte-identical for identical configurations (timing is only
-reported in text mode).  Exit code 0 means every requested check passed.
+reported in text mode).  Exit code 0 means every requested check passed;
+an engine error becomes a typed error report with exit code 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 from .algebra import Poly, THETA, atom_str, poly_str
 from .dsl import (
-    ParseError,
     format_vector_field,
     parse_expression,
     parse_vector_field,
@@ -67,7 +67,6 @@ class SessionConfig:
     trials: int
     ansatz_degree: int
     output: str
-    jobs: int
 
     def __post_init__(self):
         if self.n < 1:
@@ -80,8 +79,6 @@ class SessionConfig:
             raise ValueError("ansatz degree must be >= 1")
         if self.output not in ("text", "json"):
             raise ValueError("output must be 'text' or 'json'")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +88,6 @@ class SessionConfig:
             "trials": self.trials,
             "ansatz_degree": self.ansatz_degree,
             "output": self.output,
-            "jobs": self.jobs,
         }
 
 
@@ -177,30 +173,24 @@ class _Emitter:
         self.config = config
         self.t0 = time.perf_counter()
 
+    def _print_json(self, **body) -> None:
+        report = {"schema": SCHEMA_VERSION, "command": self.command,
+                  "config": self.config.to_dict(), **body}
+        print(json.dumps(report, sort_keys=True, indent=2))
+
     def emit(self, results, exit_code: int) -> int:
         ms = (time.perf_counter() - self.t0) * 1000.0
         if self.config.output == "json":
-            report = {
-                "schema": SCHEMA_VERSION,
-                "command": self.command,
-                "config": self.config.to_dict(),
-                "results": results,
-                "timing_ms": None,  # omitted value keeps reports byte-stable
-            }
-            print(json.dumps(report, sort_keys=True, indent=2))
+            # timing_ms stays null so reports are byte-stable
+            self._print_json(results=results, timing_ms=None)
         else:
             print(f"[{self.command}] done in {ms:.1f} ms")
         return exit_code
 
     def error(self, exc: Exception) -> int:
         if self.config.output == "json":
-            report = {
-                "schema": SCHEMA_VERSION,
-                "command": self.command,
-                "config": self.config.to_dict(),
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            print(json.dumps(report, sort_keys=True, indent=2))
+            self._print_json(error={"type": type(exc).__name__,
+                                    "message": str(exc)})
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -213,129 +203,108 @@ def _text(config: SessionConfig) -> bool:
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_prolong(args, config: SessionConfig) -> int:
-    em = _Emitter("prolong", config)
-    try:
-        with open(args.field, encoding="utf-8") as fh:
-            v = parse_vector_field(fh.read(), config.n)
-        pf = prolong_recursive(v, args.order)
-        results = []
-        mismatch = False
-        explicit = None
-        if args.explicit and args.order >= 2:
-            explicit = prolong_explicit(v, args.order)
-        for J in sorted(pf.coeffs):
-            if not J:
-                continue
-            entry = {"index": ",".join(map(str, J)),
-                     "coefficient": poly_str(pf.coeffs[J])}
+def cmd_prolong(args, config: SessionConfig, em: _Emitter) -> int:
+    with open(args.field, encoding="utf-8") as fh:
+        v = parse_vector_field(fh.read(), config.n)
+    pf = prolong_recursive(v, args.order)
+    results = []
+    mismatch = False
+    explicit = None
+    if args.explicit and args.order >= 2:
+        explicit = prolong_explicit(v, args.order)
+    for J in sorted(pf.coeffs):
+        if not J:
+            continue
+        entry = {"index": ",".join(map(str, J)),
+                 "coefficient": poly_str(pf.coeffs[J])}
+        if explicit is not None:
+            same = explicit.coeffs[J] == pf.coeffs[J]
+            entry["explicit_matches"] = same
+            mismatch |= not same
+        results.append(entry)
+        if _text(config):
+            suffix = ""
             if explicit is not None:
-                same = explicit.coeffs[J] == pf.coeffs[J]
-                entry["explicit_matches"] = same
-                mismatch |= not same
-            results.append(entry)
-            if _text(config):
-                suffix = ""
-                if explicit is not None:
-                    suffix = "  [explicit ok]" if entry["explicit_matches"] \
-                        else "  [EXPLICIT MISMATCH]"
-                print(f"phi^({entry['index']}) = {entry['coefficient']}{suffix}")
-        return em.emit(results, 1 if mismatch else 0)
-    except (ParseError, OSError, ValueError) as exc:
-        return em.error(exc)
+                suffix = "  [explicit ok]" if entry["explicit_matches"] \
+                    else "  [EXPLICIT MISMATCH]"
+            print(f"phi^({entry['index']}) = {entry['coefficient']}{suffix}")
+    return em.emit(results, 1 if mismatch else 0)
 
 
-def cmd_check(args, config: SessionConfig) -> int:
-    em = _Emitter("check", config)
+def cmd_check(args, config: SessionConfig, em: _Emitter) -> int:
+    sys_ = _build_system(config, args.eq, args.expr)
+    with open(args.field, encoding="utf-8") as fh:
+        v = parse_vector_field(fh.read(), config.n)
+    rep = infinitesimal_check(sys_, v, trials=config.trials, seed=config.seed)
+    result = _report_dict(rep)
+    if args.eq == "custom":
+        result["unverified_equation"] = True
+    if _text(config):
+        print(f"verdict: {rep.verdict}")
+        if rep.multiplier is not None:
+            print(f"multiplier: {poly_str(rep.multiplier)}")
+        if rep.residual is not None:
+            print(f"witness residual: {rep.residual}")
+    return em.emit([result], 0 if rep.passed else 1)
+
+
+def cmd_classify(args, config: SessionConfig, em: _Emitter) -> int:
+    sys_ = _build_system(config, args.eq, None)
+    dim, basis = ansatz_dimension(sys_, config.ansatz_degree)
+    expected = expected_dimension(args.eq, config.n, sys_.theta)
+    matches = dim == expected
+    result = {
+        "dimension": dim,
+        "expected": expected,
+        "matches": matches,
+        "basis": [format_vector_field(v) for v in basis],
+    }
+    if _text(config):
+        print(f"ansatz degree {config.ansatz_degree}: dimension {dim} "
+              f"(expected {expected}){'' if matches else '  MISMATCH'}")
+        for line in result["basis"]:
+            print("  " + line)
+    return em.emit([result], 0 if matches else 1)
+
+
+def cmd_determining(args, config: SessionConfig, em: _Emitter) -> int:
+    sys_ = _build_system(config, args.eq, None)
+    if args.eq == "am" and config.theta is None:
+        raise ValueError("determining listing needs --theta p/q for am")
+    ds = extract_determining(sys_)
+    result = {
+        "unknowns": [atom_str(a) for a in ds.unknowns],
+        "equations": [poly_str(eq) + " = 0" for eq in ds.equations],
+    }
+    if _text(config):
+        print(f"{len(ds.equations)} equations in {len(ds.unknowns)} unknowns")
+        for line in result["equations"]:
+            print("  " + line)
+    return em.emit([result], 0)
+
+
+def cmd_bracket_table(args, config: SessionConfig, em: _Emitter) -> int:
+    if args.basis == "ma":
+        basis = monge_ampere_basis(config.n)
+    elif args.basis == "am-generic":
+        basis = affine_maximal_basis(config.n, special=False)
+    else:
+        basis = affine_maximal_basis(config.n, special=True)
     try:
-        sys_ = _build_system(config, args.eq, args.expr)
-        with open(args.field, encoding="utf-8") as fh:
-            v = parse_vector_field(fh.read(), config.n)
-        rep = infinitesimal_check(sys_, v, trials=config.trials,
-                                  seed=config.seed, jobs=config.jobs)
-        result = _report_dict(rep)
-        if args.eq == "custom":
-            result["unverified_equation"] = True
+        rep = closure_check(basis)
+    except NotClosedError as exc:
         if _text(config):
-            print(f"verdict: {rep.verdict}")
-            if rep.multiplier is not None:
-                print(f"multiplier: {poly_str(rep.multiplier)}")
-            if rep.residual is not None:
-                print(f"witness residual: {rep.residual}")
-        return em.emit([result], 0 if rep.passed else 1)
-    except (ParseError, OSError, ValueError) as exc:
-        return em.error(exc)
-
-
-def cmd_classify(args, config: SessionConfig) -> int:
-    em = _Emitter("classify", config)
-    try:
-        sys_ = _build_system(config, args.eq, None)
-        dim, basis = ansatz_dimension(sys_, config.ansatz_degree)
-        expected = expected_dimension(args.eq, config.n, sys_.theta)
-        matches = dim == expected
-        result = {
-            "dimension": dim,
-            "expected": expected,
-            "matches": matches,
-            "basis": [format_vector_field(v) for v in basis],
-        }
-        if _text(config):
-            print(f"ansatz degree {config.ansatz_degree}: dimension {dim} "
-                  f"(expected {expected}){'' if matches else '  MISMATCH'}")
-            for line in result["basis"]:
-                print("  " + line)
-        return em.emit([result], 0 if matches else 1)
-    except ValueError as exc:
-        return em.error(exc)
-
-
-def cmd_determining(args, config: SessionConfig) -> int:
-    em = _Emitter("determining", config)
-    try:
-        sys_ = _build_system(config, args.eq, None)
-        if args.eq == "am" and config.theta is None:
-            raise ValueError("determining listing needs --theta p/q for am")
-        ds = extract_determining(sys_)
-        result = {
-            "unknowns": [atom_str(a) for a in ds.unknowns],
-            "equations": [poly_str(eq) + " = 0" for eq in ds.equations],
-        }
-        if _text(config):
-            print(f"{len(ds.equations)} equations in {len(ds.unknowns)} unknowns")
-            for line in result["equations"]:
-                print("  " + line)
-        return em.emit([result], 0)
-    except ValueError as exc:
-        return em.error(exc)
-
-
-def cmd_bracket_table(args, config: SessionConfig) -> int:
-    em = _Emitter("bracket-table", config)
-    try:
-        if args.basis == "ma":
-            basis = monge_ampere_basis(config.n)
-        elif args.basis == "am-generic":
-            basis = affine_maximal_basis(config.n, special=False)
-        else:
-            basis = affine_maximal_basis(config.n, special=True)
-        try:
-            rep = closure_check(basis)
-        except NotClosedError as exc:
-            if _text(config):
-                print(f"NOT CLOSED at pair {exc.pair}")
-            return em.emit([{"closed": False, "pair": list(exc.pair)}], 1)
-        constants = {f"{i},{j}": [_rat(c) for c in coeffs]
-                     for (i, j), coeffs in sorted(rep.structure_constants.items())}
-        if _text(config):
-            print(f"basis {args.basis}: closed, "
-                  f"{len(constants)} bracket pairs")
-            for key, coeffs in constants.items():
-                nz = {k: c for k, c in enumerate(coeffs) if c != "0"}
-                print(f"  [{key}] -> {nz if nz else '0'}")
-        return em.emit([{"closed": True, "structure_constants": constants}], 0)
-    except ValueError as exc:
-        return em.error(exc)
+            print(f"NOT CLOSED at pair {exc.pair}")
+        return em.emit([{"closed": False, "pair": list(exc.pair)}], 1)
+    constants = {f"{i},{j}": [_rat(c) for c in coeffs]
+                 for (i, j), coeffs in sorted(rep.structure_constants.items())}
+    if _text(config):
+        print(f"basis {args.basis}: closed, "
+              f"{len(constants)} bracket pairs")
+        for key, coeffs in constants.items():
+            nz = {k: c for k, c in enumerate(coeffs) if c != "0"}
+            print(f"  [{key}] -> {nz if nz else '0'}")
+    return em.emit([{"closed": True, "structure_constants": constants}], 0)
 
 
 def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
@@ -374,47 +343,43 @@ def _load_element(path: str, n: int) -> GroupElement:
     return make_am_element(q, p, dvec, c, r, d, regime=regime)
 
 
-def cmd_orbit(args, config: SessionConfig) -> int:
-    em = _Emitter("orbit", config)
-    try:
-        sys_ = _build_system(config, args.eq, None)
-        if sys_.theta_symbolic:
-            raise ValueError("orbit residuals need --theta p/q")
-        g = _load_element(args.element, config.n)
-        s = _parse_solution_spec(args.solution, config.n)
-        transformed = act(g, s)
-        pts = _orbit_points(transformed, args.points)
-        if transformed.kind == "polynomial":
-            rp = residual_polynomial(transformed, sys_)
-            values = residual(transformed, sys_, pts)
-            passed = rp.is_zero
-            result = {
-                "kind": "polynomial",
-                "residual_polynomial_zero": rp.is_zero,
-                "points": [[str(Fraction(c)) for c in p] for p in pts],
-                "residuals": [_rat(v) for v in values],
-                "passed": passed,
-            }
-        else:
-            values = residual(transformed, sys_, pts)
-            tol = 1e-6 if transformed.locally_defined else 1e-8
-            passed = max(abs(v) for v in values) < tol
-            result = {
-                "kind": "callable",
-                "local": transformed.locally_defined,
-                "tolerance": tol,
-                "points": [[float(c) for c in p] for p in pts],
-                "residuals": [float(v) for v in values],
-                "passed": bool(passed),
-            }
-        if _text(config):
-            print(f"transformed solution kind: {result['kind']}")
-            for p, v in zip(result["points"], result["residuals"]):
-                print(f"  residual{tuple(p)} = {v}")
-            print("PASS" if passed else "FAIL")
-        return em.emit([result], 0 if passed else 1)
-    except (OSError, ValueError, KeyError) as exc:
-        return em.error(exc)
+def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:
+    sys_ = _build_system(config, args.eq, None)
+    if sys_.theta_symbolic:
+        raise ValueError("orbit residuals need --theta p/q")
+    g = _load_element(args.element, config.n)
+    s = _parse_solution_spec(args.solution, config.n)
+    transformed = act(g, s)
+    pts = _orbit_points(transformed, args.points)
+    if transformed.kind == "polynomial":
+        rp = residual_polynomial(transformed, sys_)
+        values = residual(transformed, sys_, pts)
+        passed = rp.is_zero
+        result = {
+            "kind": "polynomial",
+            "residual_polynomial_zero": rp.is_zero,
+            "points": [[str(Fraction(c)) for c in p] for p in pts],
+            "residuals": [_rat(v) for v in values],
+            "passed": passed,
+        }
+    else:
+        values = residual(transformed, sys_, pts)
+        tol = 1e-6 if transformed.locally_defined else 1e-8
+        passed = max(abs(v) for v in values) < tol
+        result = {
+            "kind": "callable",
+            "local": transformed.locally_defined,
+            "tolerance": tol,
+            "points": [[float(c) for c in p] for p in pts],
+            "residuals": [float(v) for v in values],
+            "passed": bool(passed),
+        }
+    if _text(config):
+        print(f"transformed solution kind: {result['kind']}")
+        for p, v in zip(result["points"], result["residuals"]):
+            print(f"  residual{tuple(p)} = {v}")
+        print("PASS" if passed else "FAIL")
+    return em.emit([result], 0 if passed else 1)
 
 
 def _orbit_points(s: SolutionSample, count: int) -> list[list[Fraction]]:
@@ -435,17 +400,13 @@ def _orbit_points(s: SolutionSample, count: int) -> list[list[Fraction]]:
     return out
 
 
-def cmd_sample(args, config: SessionConfig) -> int:
-    em = _Emitter("sample", config)
-    try:
-        sys_ = _build_system(config, args.eq, None)
-        pts = sample_on_variety(sys_, config.seed, args.count)
-        results = [_jetpoint_dict(p) for p in pts]
-        if _text(config):
-            print(json.dumps(results, sort_keys=True, indent=2))
-        return em.emit(results, 0)
-    except ValueError as exc:
-        return em.error(exc)
+def cmd_sample(args, config: SessionConfig, em: _Emitter) -> int:
+    sys_ = _build_system(config, args.eq, None)
+    pts = sample_on_variety(sys_, config.seed, args.count)
+    results = [_jetpoint_dict(p) for p in pts]
+    if _text(config):
+        print(json.dumps(results, sort_keys=True, indent=2))
+    return em.emit(results, 0)
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -467,8 +428,6 @@ def _add_common_options(ap, root: bool) -> None:
     ap.add_argument("--trials", type=int, **default(DEFAULT_TRIALS))
     ap.add_argument("--degree", type=int, help="ansatz degree", **default(2))
     ap.add_argument("--output", choices=("text", "json"), **default("text"))
-    ap.add_argument("--jobs", type=int,
-                    help="worker threads for sampling trials", **default(1))
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -536,12 +495,15 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             ansatz_degree=args.degree,
             output=args.output,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, config)
+    em = _Emitter(args.command, config)
+    try:
+        return args.func(args, config, em)
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        return em.error(exc)
 
 
 if __name__ == "__main__":

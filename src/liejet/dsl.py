@@ -7,7 +7,7 @@ indices, sorted on ingest), and `theta`.  Literals are integers or rational
 given as `xi1 = <expr>; ...; xiN = <expr>; phi = <expr>` over x and u only;
 omitted components default to zero.
 
-`format_polynomial` and `parse_expression` are inverse on canonical forms.
+`algebra.poly_str` and `parse_expression` are inverse on canonical forms.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .algebra import DEP, Poly, THETA, coord, jet, poly_str
 from .jets import JetInCoefficientError, VectorField
-
-format_polynomial = poly_str
 
 
 class ParseError(ValueError):
@@ -224,9 +222,7 @@ class _Parser:
         return i
 
 
-def parse_expression(text: str, n: int) -> Poly:
-    """Parse one expression into a canonical polynomial."""
-    tokens = [t for t in tokenize(text) if not (t.kind == "op" and t.value == ";")]
+def _parse_all(tokens: list[Token], n: int) -> Poly:
     parser = _Parser(tokens, n)
     out = parser.expr()
     tok = parser.peek()
@@ -234,6 +230,12 @@ def parse_expression(text: str, n: int) -> Poly:
         raise ParseError(f"unexpected trailing token {tok.value!r}",
                          tok.line, tok.col)
     return out
+
+
+def parse_expression(text: str, n: int) -> Poly:
+    """Parse one expression into a canonical polynomial."""
+    return _parse_all([t for t in tokenize(text)
+                       if not (t.kind == "op" and t.value == ";")], n)
 
 
 def parse_vector_field(text: str, n: int) -> VectorField:
@@ -260,12 +262,7 @@ def parse_vector_field(text: str, n: int) -> VectorField:
                              f"xi1..xi{n}, phi)", head.line, head.col)
         if name in seen:
             raise ParseError(f"duplicate component {name!r}", head.line, head.col)
-        parser = _Parser(stmt[2:], n)
-        p = parser.expr()
-        tok = parser.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing token {tok.value!r}",
-                             tok.line, tok.col)
+        p = _parse_all(stmt[2:], n)
         for a in p.atoms():
             if a[0] not in (0, 1):  # only Coord and Dep allowed
                 raise JetInCoefficientError(

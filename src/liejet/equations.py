@@ -237,22 +237,19 @@ def sample_point(sys: PdeSystem, seed: int, index: int) -> JetPoint:
         if t is None:
             continue
         env[sys.top_var] = t
-        if sys.convexity_required:
-            Hfin = [[env[jet(i, j)] for j in range(1, n + 1)]
-                    for i in range(1, n + 1)]
-            if not leading_minors_positive(Hfin):
-                continue
+        pt = JetPoint(env=env)
+        if sys.convexity_required and not leading_minors_positive(pt.hessian(n)):
+            continue
         if sys.F.evaluate(env) != 0:  # exact check of the defining property
             continue
-        return JetPoint(env=env)
+        return pt
     raise SamplingExhaustedError(
         f"no valid sample for seed {seed}, index {index} "
         f"within {RESAMPLE_BUDGET} attempts")
 
 
 def sample_on_variety(sys: PdeSystem, rng_seed: int, count: int) -> list[JetPoint]:
-    """`count` exact on-variety points; deterministic per seed, and each
-    point depends only on (seed, index) so sampling parallelises."""
+    """`count` exact on-variety points; point i depends only on (seed, i)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     return [sample_point(sys, rng_seed, i) for i in range(count)]

@@ -24,6 +24,7 @@ from .algebra import (
     Poly,
     coord,
     jet,
+    point_partial,
     rat_det,
     solve_exact,
 )
@@ -302,8 +303,11 @@ def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
     if g.n != s.n:
         raise ValueError("dimension mismatch")
     n = g.n
+    new_center = _apply_point(g, s.center, s(s.center))[:-1]
     if not g.local:
         qinv = _mat_inverse(g.q)
+        scale = max(sum(abs(float(v)) for v in row) for row in qinv)
+        radius = s.radius / scale if math.isfinite(s.radius) else math.inf
         if s.kind == "polynomial":
             mapping = {}
             for i in range(n):
@@ -316,11 +320,8 @@ def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
             out = Poly.const(g.d) + g.c * inner
             for i in range(n):
                 out = out + g.dvec[i] * mapping[coord(i + 1)]
-            new_center = _apply_point(g, s.center, s(s.center))
-            scale = max(sum(abs(float(v)) for v in row) for row in qinv)
             return SolutionSample(n=n, kind="polynomial", poly=out,
-                                  center=new_center[:-1],
-                                  radius=s.radius / scale if math.isfinite(s.radius) else math.inf)
+                                  center=new_center, radius=radius)
         qinv_f = [[float(v) for v in row] for row in qinv]
         rf = [float(v) for v in g.r]
         df = [float(v) for v in g.dvec]
@@ -332,12 +333,8 @@ def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
                  for i in range(n)]
             return sum(df[i] * x[i] for i in range(n)) + cf * base(x) + d0
 
-        new_center = _apply_point(g, s.center, s(s.center))
-        scale = max(sum(abs(v) for v in row) for row in qinv_f)
-        return SolutionSample(n=n, kind="callable", fn=fn,
-                              center=new_center[:-1],
-                              radius=s.radius / scale if math.isfinite(s.radius) else math.inf,
-                              locally_defined=s.locally_defined)
+        return SolutionSample(n=n, kind="callable", fn=fn, center=new_center,
+                              radius=radius, locally_defined=s.locally_defined)
 
     # local action: invert x -> Q x + P u(x) + R numerically
     qf = [[float(v) for v in row] for row in g.q]
@@ -378,10 +375,8 @@ def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
         x = invert(xt)
         return sum(df[i] * x[i] for i in range(n)) + cf * base(x) + d0
 
-    u0 = s(s.center)
-    new_center = _apply_point(g, s.center, u0)
     radius = s.radius if math.isfinite(s.radius) else 1.0
-    return SolutionSample(n=n, kind="callable", fn=fn, center=new_center[:-1],
+    return SolutionSample(n=n, kind="callable", fn=fn, center=new_center,
                           radius=radius / 4, locally_defined=True)
 
 
@@ -455,9 +450,10 @@ def exponentiate(v: VectorField, eps) -> GroupElement:
     """Finite element of the one-parameter flow of an affine field.
 
     The field becomes an (n+2)x(n+2) matrix on homogeneous coordinates
-    (x, u, 1).  Nilpotent matrices exponentiate exactly; otherwise the
-    exponential series is summed in exact rational arithmetic until the
-    tail is provably below 1e-18, and the bound is reported.
+    (x, u, 1), and its exponential series is summed in exact rational
+    arithmetic.  A vanishing power ends the series: nilpotent matrices
+    exponentiate exactly.  Otherwise the sum stops once the tail is provably
+    below 1e-18, and the bound is reported.
     """
     n = v.n
     eps = Fraction(eps)
@@ -476,37 +472,25 @@ def exponentiate(v: VectorField, eps) -> GroupElement:
 
     power = _identity(size)
     total = _identity(size)
-    nilpotent = False
-    fact = 1
-    for k in range(1, size + 1):
-        power = _mat_mul(power, mm)
-        if all(all(v0 == 0 for v0 in row) for row in power):
-            nilpotent = True
-            break
-        fact *= k
-        total = _mat_add(total, _mat_scale(power, eps ** k / fact))
-    if nilpotent:
-        return element_from_homogeneous(n, total, exact=True)
-
-    # generic series with certified tail bound
-    total = _identity(size)
-    power = _identity(size)
     fact = 1
     norm = max(sum(abs(v0) for v0 in row) for row in mm) * abs(eps)
     k = 0
     while True:
         k += 1
-        fact *= k
         power = _mat_mul(power, mm)
+        if not any(any(row) for row in power):
+            return element_from_homogeneous(n, total, exact=True)
+        fact *= k
         term = _mat_scale(power, eps ** k / fact)
         total = _mat_add(total, term)
         tnorm = max(sum(abs(v0) for v0 in row) for row in term)
-        if float(norm) / (k + 1) < 0.5 and float(tnorm) < 1e-22:
-            tail = 2.0 * float(tnorm)
-            break
+        # a nilpotent matrix has a zero power by k = size, so the tail
+        # criterion waits until then and nilpotent flows stay exact
+        if k >= size and float(norm) / (k + 1) < 0.5 and float(tnorm) < 1e-22:
+            return element_from_homogeneous(n, total, exact=False,
+                                            error_bound=2.0 * float(tnorm))
         if k > 500:
             raise RuntimeError("exponential series did not converge")
-    return element_from_homogeneous(n, total, exact=False, error_bound=tail)
 
 
 def _mat_add(a: Mat, b: Mat) -> Mat:
@@ -533,10 +517,7 @@ def residual_polynomial(s: SolutionSample, sys: PdeSystem) -> Poly:
     mapping: dict[Atom, Poly] = {DEP: s.poly}
     for a in sys.F.atoms():
         if a[0] == KIND_JET:
-            p = s.poly
-            for i in a[1]:
-                p = p.diff(coord(i))
-            mapping[a] = p
+            mapping[a] = point_partial(s.poly, a[1])
     return sys.F.substitute_atoms(mapping)
 
 

@@ -34,6 +34,7 @@ from .algebra import (
     coord,
     func_partial,
     jet,
+    point_partial,
 )
 
 MAX_PROLONGATION_ORDER = 4
@@ -81,15 +82,20 @@ class VectorField:
 
     def apply_to(self, p: Poly) -> Poly:
         """Act on a polynomial in (x, u) as a first-order operator."""
-        out = Poly.zero()
-        for s in range(1, self.n + 1):
-            d = p.diff(coord(s))
-            if not d.is_zero:
-                out = out + self.xi[s - 1] * d
-        d = p.diff(DEP)
+        return _first_order_action(self.xi, self.phi, p)
+
+
+def _first_order_action(xi: Sequence[Poly], phi: Poly, p: Poly) -> Poly:
+    """xi^s dp/dx^s + phi dp/du."""
+    out = Poly.zero()
+    for s, xi_s in enumerate(xi, start=1):
+        d = p.diff(coord(s))
         if not d.is_zero:
-            out = out + self.phi * d
-        return out
+            out = out + xi_s * d
+    d = p.diff(DEP)
+    if not d.is_zero:
+        out = out + phi * d
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,8 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(1, n + 1), order))
 
 
-def _u1(i: int) -> Poly:
-    return Poly.variable(jet(i))
+def _uj(*idx: int) -> Poly:
+    return Poly.variable(jet(*idx))
 
 
 def total_derivative(p: Poly, i: int) -> Poly:
@@ -174,14 +180,14 @@ def _atom_total_derivative(a: Atom, i: int) -> Poly:
     if kind == KIND_COORD:
         return Poly.const(1) if a[1] == i else Poly.zero()
     if kind == KIND_DEP:
-        return _u1(i)
+        return _uj(i)
     if kind == KIND_JET:
         return Poly.variable(jet(*a[1], i))
     if kind == KIND_THETA:
         return Poly.zero()
     _, comp, xs, du = a
     return (Poly.variable(func_partial(comp, xs + (i,), du))
-            + Poly.variable(func_partial(comp, xs, du + 1)) * _u1(i))
+            + Poly.variable(func_partial(comp, xs, du + 1)) * _uj(i))
 
 
 def prolong_recursive(v: Field, k: int) -> ProlongedField:
@@ -192,7 +198,7 @@ def prolong_recursive(v: Field, k: int) -> ProlongedField:
     xi, phi = _base_components(v)
     q = phi
     for s in range(1, n + 1):
-        q = q - xi[s - 1] * _u1(s)
+        q = q - xi[s - 1] * _uj(s)
     dq: dict[tuple[int, ...], Poly] = {(): q}
     coeffs: dict[tuple[int, ...], Poly] = {(): phi}
     for order in range(1, k + 1):
@@ -236,25 +242,8 @@ def circle_sum(pattern: Callable[[tuple[int, ...]], Poly],
             elif prev != c:
                 raise ValueError("pattern is ambiguous under permutation")
     relabel = dict(zip(gen, indices))
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in seen.items():
-        mm = _relabel_monomial(mono, relabel)
-        v = out.get(mm, Fraction(0)) + c
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
-    return Poly(out)
-
-
-def _relabel_monomial(m: Monomial, relabel: dict[int, int]) -> Monomial:
-    pairs = []
-    for a, e in m:
-        pairs.append((_relabel_atom(a, relabel), e))
-    acc: dict[Atom, int] = {}
-    for a, e in pairs:
-        acc[a] = acc.get(a, 0) + e
-    return tuple(sorted(acc.items()))
+    return Poly.from_terms((((_relabel_atom(a, relabel), e) for a, e in mono), c)
+                           for mono, c in seen.items())
 
 
 def _relabel_atom(a: Atom, relabel: dict[int, int]) -> Atom:
@@ -275,10 +264,6 @@ def _phi(xs: Iterable[int] = (), du: int = 0) -> Poly:
 
 def _xi(s: int, xs: Iterable[int] = (), du: int = 0) -> Poly:
     return Poly.variable(func_partial(s, xs, du))
-
-
-def _uj(*idx: int) -> Poly:
-    return Poly.variable(jet(*idx))
 
 
 def _sum_s(n: int, term: Callable[[int], Poly]) -> Poly:
@@ -417,32 +402,22 @@ def _explicit_symbolic_coeff(n: int, J: tuple[int, ...]) -> Poly:
         return _explicit_order1(n, J[0])
     if order == 2:
         return _explicit_order2(n, J[0], J[1])
-    if order == 3:
+    if order in (3, 4):
         out = _phi(J)
-        for pat in _order3_patterns(n):
-            out = out + circle_sum(pat, J)
-        return out
-    if order == 4:
-        out = _phi(J)
-        for pat in _order4_patterns(n):
+        for pat in (_order3_patterns if order == 3 else _order4_patterns)(n):
             out = out + circle_sum(pat, J)
         return out
     raise UnsupportedOrderError(f"no closed formula for order {order}")
 
 
-def _func_partial_values(v: VectorField, atoms: Iterable[Atom]) -> dict[Atom, Poly]:
-    """Concrete derivative polynomials for the formal derivative atoms."""
+def func_partial_values(v: VectorField, atoms: Iterable[Atom]) -> dict[Atom, Poly]:
+    """The concrete (x, u)-polynomial each formal derivative atom among
+    `atoms` stands for; other atoms are skipped."""
     out: dict[Atom, Poly] = {}
     for a in atoms:
-        if a[0] != KIND_FUNC:
-            continue
-        _, comp, xs, du = a
-        p = v.phi if comp == 0 else v.xi[comp - 1]
-        for i in xs:
-            p = p.diff(coord(i))
-        for _ in range(du):
-            p = p.diff(DEP)
-        out[a] = p
+        if a[0] == KIND_FUNC:
+            _, comp, xs, du = a
+            out[a] = point_partial(v.phi if comp == 0 else v.xi[comp - 1], xs, du)
     return out
 
 
@@ -465,7 +440,7 @@ def prolong_explicit(v: Field, k: int) -> ProlongedField:
         for J in multi_indices(n, order):
             c = _explicit_symbolic_coeff(n, J)
             if concrete:
-                c = c.substitute_atoms(_func_partial_values(v, c.atoms()))
+                c = c.substitute_atoms(func_partial_values(v, c.atoms()))
             coeffs[J] = c
     return ProlongedField(base=v, order=k, coeffs=coeffs)
 
@@ -483,15 +458,7 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
         raise OrderTooLowError(
             f"prolongation order {k} < equation order {max_order}")
     pf = prolong_recursive(v, k)
-    xi, phi = _base_components(v)
-    out = Poly.zero()
-    for s in range(1, v.n + 1):
-        d = F.diff(coord(s))
-        if not d.is_zero:
-            out = out + xi[s - 1] * d
-    d = F.diff(DEP)
-    if not d.is_zero:
-        out = out + phi * d
+    out = _first_order_action(*_base_components(v), F)
     for J, c in pf.coeffs.items():
         if not J:
             continue

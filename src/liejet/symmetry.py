@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .algebra import (
     Atom,
@@ -42,7 +43,13 @@ from .equations import (
     build_monge_ampere,
     sample_point,
 )
-from .jets import Field, SymbolicVectorField, VectorField, apply_prolonged
+from .jets import (
+    Field,
+    SymbolicVectorField,
+    VectorField,
+    apply_prolonged,
+    func_partial_values,
+)
 
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 20250601
@@ -118,14 +125,13 @@ class ClosureReport:
 
 def infinitesimal_check(sys: PdeSystem, v: Field,
                         trials: int = DEFAULT_TRIALS,
-                        seed: int = DEFAULT_SEED,
-                        jobs: int = 1) -> CheckReport:
+                        seed: int = DEFAULT_SEED) -> CheckReport:
     """Decide whether a field generates a symmetry of the equation.
 
     Identically-zero and multiplier verdicts are exact certificates; the
     sampling verdict is exact per point, with the first nonzero value
     returned as a rational witness of failure.  Trial i depends only on
-    (seed, i), so the verdict is independent of the worker count `jobs`.
+    (seed, i).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -138,27 +144,12 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
     if mu is not None:
         return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials,
                            _ms(t0), multiplier=mu)
-
-    def trial(idx: int) -> tuple[JetPoint, Fraction]:
+    for idx in range(trials):
         pt = sample_point(sys, seed, idx)
-        return pt, R.evaluate(pt.env)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for start in range(0, trials, jobs):
-                chunk = range(start, min(start + jobs, trials))
-                for idx, (pt, value) in zip(chunk, pool.map(trial, chunk)):
-                    if value != 0:
-                        return CheckReport(VERDICT_FAILS, idx, seed, trials,
-                                           _ms(t0), witness=pt, residual=value)
-    else:
-        for idx in range(trials):
-            pt, value = trial(idx)
-            if value != 0:
-                return CheckReport(VERDICT_FAILS, idx, seed, trials, _ms(t0),
-                                   witness=pt, residual=value)
+        value = R.evaluate(pt.env)
+        if value != 0:
+            return CheckReport(VERDICT_FAILS, idx, seed, trials, _ms(t0),
+                               witness=pt, residual=value)
     return CheckReport(VERDICT_ON_VARIETY, trials, seed, trials, _ms(t0))
 
 
@@ -302,14 +293,31 @@ def _normalize_linear(eq: Poly) -> Poly:
     return eq * (1 / eq.terms[lead])
 
 
-def _extract_raw(sys_F: Poly, top_var: Atom, n: int, order: int
-                 ) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
-    R = apply_prolonged(SymbolicVectorField(n), sys_F, order)
-    A = sys_F.diff(top_var)
-    if top_var in A.atoms():
-        raise ValueError("equation is not affine-linear in its top variable")
-    B = sys_F - A * Poly.variable(top_var)
-    powers = R.coefficient_powers(top_var)
+def _linear_system(eqs: Iterable[Poly]
+                   ) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
+    """Drop zero equations, scale each to leading coefficient 1 and keep the
+    first copy of each, in order; return (unknowns, equations)."""
+    seen: set[frozenset] = set()
+    equations: list[Poly] = []
+    for eq in eqs:
+        if eq.is_zero:
+            continue
+        norm = _normalize_linear(eq)
+        key = frozenset(norm.terms.items())
+        if key not in seen:
+            seen.add(key)
+            equations.append(norm)
+    unknowns = sorted({a for eq in equations for a in eq.atoms()
+                       if _is_func_atom(a)})
+    return tuple(unknowns), tuple(equations)
+
+
+def _extract_raw(sys: PdeSystem) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
+    # PdeSystem guarantees that F is affine-linear in its top variable
+    R = apply_prolonged(SymbolicVectorField(sys.n), sys.F, sys.order)
+    A = sys.F.diff(sys.top_var)
+    B = sys.F - A * Poly.variable(sys.top_var)
+    powers = R.coefficient_powers(sys.top_var)
     m = max(powers)
     cleared = Poly.zero()
     for r, c_r in powers.items():
@@ -319,19 +327,7 @@ def _extract_raw(sys_F: Poly, top_var: Atom, n: int, order: int
     # (the master system) and is specialized by extract_determining
     groups = cleared.collect(
         lambda a: not _is_func_atom(a) and a[0] != KIND_THETA)
-    seen: set[tuple] = set()
-    equations: list[Poly] = []
-    for _, eq in sorted(groups.items()):
-        if eq.is_zero:
-            continue
-        norm = _normalize_linear(eq)
-        key = tuple(sorted(norm.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            equations.append(norm)
-    unknowns = sorted({a for eq in equations for a in eq.atoms()
-                       if _is_func_atom(a)})
-    return tuple(unknowns), tuple(equations)
+    return _linear_system(eq for _, eq in sorted(groups.items()))
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +343,7 @@ def _master_determining(name: str, n: int) -> tuple[tuple[Atom, ...], tuple[Poly
         sys = build_affine_maximal(n, None)
     else:
         raise ValueError(name)
-    return _extract_raw(sys.F, sys.top_var, n, sys.order)
+    return _extract_raw(sys)
 
 
 def extract_determining(sys: PdeSystem) -> DeterminingSystem:
@@ -364,47 +360,19 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
             if sys.theta is None:
                 raise ValueError("pin theta to a rational before extracting")
             tval = Poly.const(sys.theta)
-            specialized = []
-            seen: set[tuple] = set()
-            for eq in eqs:
-                e = eq.subs(THETA, tval)
-                if e.is_zero:
-                    continue
-                e = _normalize_linear(e)
-                key = tuple(sorted(e.terms.items()))
-                if key not in seen:
-                    seen.add(key)
-                    specialized.append(e)
-            eqs = tuple(specialized)
-            unknowns = tuple(sorted({a for eq in eqs for a in eq.atoms()
-                                     if _is_func_atom(a)}))
+            unknowns, eqs = _linear_system(eq.subs(THETA, tval) for eq in eqs)
         return DeterminingSystem(unknowns, eqs)
     if sys.theta_symbolic:
         raise ValueError("pin theta to a rational before extracting")
-    unknowns, eqs = _extract_raw(sys.F, sys.top_var, sys.n, sys.order)
+    unknowns, eqs = _extract_raw(sys)
     return DeterminingSystem(unknowns, eqs)
-
-
-def coefficient_derivative(v: VectorField, a: Atom) -> Poly:
-    """The concrete (x,u)-polynomial a formal derivative atom stands for."""
-    _, comp, xs, du = a
-    p = v.phi if comp == 0 else v.xi[comp - 1]
-    for i in xs:
-        p = p.diff(coord(i))
-    for _ in range(du):
-        p = p.diff(DEP)
-    return p
 
 
 def determining_residuals(ds: DeterminingSystem, v: VectorField) -> list[Poly]:
     """Substitute a concrete field into the system; zero polynomials mean
     the field satisfies the corresponding equations identically in (x,u)."""
-    out = []
-    for eq in ds.equations:
-        mapping = {a: coefficient_derivative(v, a) for a in eq.atoms()
-                   if _is_func_atom(a)}
-        out.append(eq.substitute_atoms(mapping))
-    return out
+    return [eq.substitute_atoms(func_partial_values(v, eq.atoms()))
+            for eq in ds.equations]
 
 
 def satisfies_determining(ds: DeterminingSystem, v: VectorField) -> bool:
@@ -508,22 +476,18 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
                 rows.add(tuple(vec))
 
     dim, basis = nullspace(sorted(rows), ncols=ncols)
-    fields = []
-    for vec in basis:
-        xi = []
-        for f in range(1, n + 1):
-            p = Poly.zero()
-            for k, m in enumerate(monos):
-                c = vec[col_of[(f, k)]]
-                if c:
-                    p = p + c * _monomial_poly(n, m)
-            xi.append(p)
-        phi = Poly.zero()
+
+    def component(vec: list[Fraction], f: int) -> Poly:
+        p = Poly.zero()
         for k, m in enumerate(monos):
-            c = vec[col_of[(0, k)]]
+            c = vec[col_of[(f, k)]]
             if c:
-                phi = phi + c * _monomial_poly(n, m)
-        fields.append(VectorField(n, tuple(xi), phi))
+                p = p + c * _monomial_poly(n, m)
+        return p
+
+    fields = [VectorField(n, tuple(component(vec, f) for f in range(1, n + 1)),
+                          component(vec, 0))
+              for vec in basis]
     return dim, fields
 
 

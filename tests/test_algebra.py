@@ -14,13 +14,10 @@ from liejet.algebra import (
     THETA,
     coord,
     divide_exact,
-    evaluate,
     jet,
     nullspace,
-    partial_derivative,
     poly_str,
     solve_exact,
-    substitute,
     sym_adjugate,
     sym_det,
 )
@@ -97,27 +94,27 @@ class TestRingOps:
 
 class TestDerivativeAndSubstitution:
     def test_hessian_partial(self):
-        assert partial_derivative(MA2, jet(1, 2)) == -2 * u12
+        assert MA2.diff(jet(1, 2)) == -2 * u12
 
     def test_theta_partial(self):
-        assert partial_derivative(th * u1, THETA) == u1
+        assert (th * u1).diff(THETA) == u1
 
     def test_constant_partial(self):
-        assert partial_derivative(Poly.const(5), DEP).is_zero
+        assert Poly.const(5).diff(DEP).is_zero
 
     def test_substitute_identity(self):
         p = MA2
-        assert substitute(p, jet(1, 2), u12) == p
+        assert p.subs(jet(1, 2), u12) == p
 
     def test_substitute_theta(self):
         z = Poly.variable(jet(1, 1, 1))
-        assert substitute(th * z, THETA, Poly.const(Fraction(3, 4))) == \
+        assert (th * z).subs(THETA, Poly.const(Fraction(3, 4))) == \
             Fraction(3, 4) * z
 
     def test_substitute_det_constraint(self):
-        p = substitute(MA2, jet(2, 2), Poly.const(Fraction(1, 2)))
-        p = substitute(p, jet(1, 1), Poly.const(2))
-        p = substitute(p, jet(1, 2), Poly.const(0))
+        p = MA2.subs(jet(2, 2), Poly.const(Fraction(1, 2)))
+        p = p.subs(jet(1, 1), Poly.const(2))
+        p = p.subs(jet(1, 2), Poly.const(0))
         assert p.is_zero
 
     @given(polys, polys)
@@ -125,9 +122,9 @@ class TestDerivativeAndSubstitution:
         # d/da and b -> r commute when a is involved in neither b nor r
         a = coord(2)
         b = jet(1, 1)
-        r = substitute(r, a, Poly.const(1))  # keep a out of the replacement
-        lhs = substitute(partial_derivative(p, a), b, r)
-        rhs = partial_derivative(substitute(p, b, r), a)
+        r = r.subs(a, Poly.const(1))  # keep a out of the replacement
+        lhs = p.diff(a).subs(b, r)
+        rhs = p.subs(b, r).diff(a)
         assert lhs == rhs
 
 
@@ -135,22 +132,22 @@ class TestEvaluate:
     def test_on_variety_point(self):
         env = {jet(1, 1): Fraction(2), jet(2, 2): Fraction(1, 2),
                jet(1, 2): Fraction(0)}
-        assert evaluate(u11 * u22 - u12 ** 2, env) == 1
+        assert (u11 * u22 - u12 ** 2).evaluate(env) == 1
 
     def test_zero_poly(self):
-        assert evaluate(Poly.zero(), {}) == 0
+        assert Poly.zero().evaluate({}) == 0
 
     def test_theta_shift(self):
-        assert evaluate(th + 1, {THETA: Fraction(3, 4)}) == Fraction(7, 4)
+        assert (th + 1).evaluate({THETA: Fraction(3, 4)}) == Fraction(7, 4)
 
     def test_missing_atom(self):
         with pytest.raises(MissingAtomError):
-            evaluate(u11 + x1, {jet(1, 1): Fraction(1)})
+            (u11 + x1).evaluate({jet(1, 1): Fraction(1)})
 
     @given(polys, polys, envs)
     def test_ring_homomorphism(self, p, q, env):
-        assert evaluate(p + q, env) == evaluate(p, env) + evaluate(q, env)
-        assert evaluate(p * q, env) == evaluate(p, env) * evaluate(q, env)
+        assert (p + q).evaluate(env) == p.evaluate(env) + q.evaluate(env)
+        assert (p * q).evaluate(env) == p.evaluate(env) * q.evaluate(env)
 
 
 class TestSymbolicMatrices:

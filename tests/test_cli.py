@@ -73,17 +73,6 @@ class TestCheck:
         assert "/" in rep["results"][0]["residual"] or \
             rep["results"][0]["residual"].lstrip("-").isdigit()
 
-    def test_jobs_flag_keeps_output(self, capsys, v6_file):
-        _, rep1 = run_json(capsys, ["--n", "2", "--theta", "1",
-                                    "--output", "json", "check",
-                                    "--eq", "am", "--field", v6_file])
-        _, rep2 = run_json(capsys, ["--n", "2", "--theta", "1",
-                                    "--output", "json", "--jobs", "4",
-                                    "check", "--eq", "am", "--field", v6_file])
-        rep1["config"].pop("jobs")
-        rep2["config"].pop("jobs")
-        assert rep1 == rep2
-
     def test_custom_equation(self, capsys, tmp_path):
         field = tmp_path / "vu.vf"
         field.write_text("phi = 1")
@@ -102,6 +91,17 @@ class TestCheck:
                                       "--field", str(bad)])
         assert code == 1
         assert rep["error"]["type"] == "JetInCoefficientError"
+
+    def test_sampling_exhausted_is_an_error_report(self, capsys, tmp_path):
+        # u[1,1] = -1 contradicts the convex Hessian every sample draws
+        field = tmp_path / "f.vf"
+        field.write_text("phi = x1^2")
+        code = main(["--output", "json", "check", "--eq", "custom",
+                     "--expr", "u[1,1] + 1", "--field", str(field)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SamplingExhaustedError"
+        assert "Traceback" not in err
 
 
 class TestClassify:

@@ -1,0 +1,65 @@
+"""Byte-for-byte comparison of CLI JSON reports with stored golden files.
+
+Each case runs one fast command through `main(argv)` with `--output json`
+and compares stdout with `tests/golden/<name>.json` and the exit code with
+the one recorded here.  The set covers every `check` verdict and every
+subcommand, so a refactor that must not change results (verdicts, counts,
+witnesses, term order, formatting) is checked against fixed reports.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from liejet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+DILATION = "xi1 = 2*x1; xi2 = 0; phi = 2*u"
+GRAPH_SHEAR = "xi1 = u; xi2 = 0; phi = 0"
+PROLONG_FIELD = "xi1 = x1*u; xi2 = x2^2; phi = u^2 + x1"
+ELEMENT = json.dumps({"Q": [["2", "0"], ["0", "1/2"]], "P": ["0", "0"],
+                      "D": ["1", "0"], "c": "3", "R": ["1/2", "0"], "d": "1"})
+DET_MINUS_ONE_X1 = "(u[1,1]*u[2,2] - u[1,2]^2 - 1)*x1"
+
+# name -> (exit code, liejet arguments, files written into the working dir)
+CASES = {
+    "check-ma-dilation": (
+        0, ["--n", "2", "check", "--eq", "ma", "--field", "v.vf"],
+        {"v.vf": DILATION}),
+    "check-am-shear-t3_4": (
+        0, ["--n", "2", "--theta", "3/4", "check", "--eq", "am",
+            "--field", "v.vf"], {"v.vf": GRAPH_SHEAR}),
+    "check-am-shear-t1": (
+        1, ["--n", "2", "--theta", "1", "check", "--eq", "am",
+            "--field", "v.vf"], {"v.vf": GRAPH_SHEAR}),
+    "check-custom-x1": (
+        0, ["--n", "2", "check", "--eq", "custom", "--expr", DET_MINUS_ONE_X1,
+            "--field", "v.vf"], {"v.vf": "xi1 = 1"}),
+    "classify-ma": (0, ["--n", "2", "classify", "--eq", "ma"], {}),
+    "classify-am-t3_4": (
+        0, ["--n", "2", "--theta", "3/4", "classify", "--eq", "am"], {}),
+    "determining-ma": (0, ["--n", "2", "determining", "--eq", "ma"], {}),
+    "bracket-table-am-special": (
+        0, ["--n", "2", "bracket-table", "--basis", "am-special"], {}),
+    "prolong-explicit-o4": (
+        0, ["--n", "2", "prolong", "--field", "v.vf", "--order", "4",
+            "--explicit"], {"v.vf": PROLONG_FIELD}),
+    "sample-am": (0, ["--n", "2", "sample", "--eq", "am", "--count", "5"], {}),
+    "orbit-quadratic": (
+        0, ["--n", "2", "--theta", "3/4", "orbit", "--eq", "am",
+            "--element", "g.json", "--solution", "quadratic:diag=2,1/3",
+            "--points", "3"], {"g.json": ELEMENT}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
+    exit_code, argv, files = CASES[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LIEJET_SEED", raising=False)
+    assert main([*argv, "--output", "json"]) == exit_code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

@@ -86,13 +86,6 @@ class TestInfinitesimalCheck:
             R = apply_prolonged(v, am2_special.F, 4)
             assert rep.multiplier * am2_special.F == R
 
-    def test_jobs_do_not_change_verdict(self, am2_theta1):
-        v = vf(2, [u, ZERO])
-        seq = infinitesimal_check(am2_theta1, v, trials=8, jobs=1)
-        par = infinitesimal_check(am2_theta1, v, trials=8, jobs=4)
-        assert (seq.verdict, seq.samples, seq.residual) == \
-            (par.verdict, par.samples, par.residual)
-
     def test_trials_validation(self, ma2):
         with pytest.raises(ValueError):
             infinitesimal_check(ma2, vf(2, [ZERO, ZERO], ONE), trials=0)
