@@ -10,6 +10,7 @@ from .algebra import (
     Atom,
     DEP,
     DivisorZeroError,
+    ExponentOverflowError,
     MissingAtomError,
     NonSquareError,
     Poly,

@@ -1,9 +1,10 @@
 """Exact sparse polynomial arithmetic over a typed atom alphabet.
 
-Coefficients are `fractions.Fraction` throughout; every operation is exact and
-identity checks reduce to dictionary comparison.  Atoms (the variables of the
-ring) are plain tuples with a small integer kind tag, so they hash fast and
-sort with the native tuple order:
+Coefficients are `int` when integral and `fractions.Fraction` otherwise;
+every operation is exact, a float coefficient is refused, and identity
+checks reduce to dictionary comparison.  Atoms (the variables of the ring)
+are plain tuples with a small integer kind tag, so they hash fast and sort
+with the native tuple order:
 
     (KIND_COORD, i)             x^i, an independent variable, i >= 1
     (KIND_DEP,)                 u, the dependent variable
@@ -20,14 +21,26 @@ sort with the native tuple order:
 Mixed partials commute, so jet and function-derivative indices are stored
 sorted: u[2,1] and u[1,2] are the same atom.
 
-A monomial is a tuple of (atom, exponent) pairs sorted by atom; a Poly maps
-monomials to nonzero coefficients, the zero polynomial being the empty map.
+A monomial is one Python int of packed exponents.  Every atom is given its
+own EXP_BITS-bit field the first time it is seen, so multiplying two
+monomials is one integer addition, and collecting by a set of atoms is a
+bit mask.  The top bit of every field is a guard: an exponent above
+EXP_MAX raises ExponentOverflowError instead of spilling into the next
+field.  Field positions depend on the order in which a process first met
+its atoms, so no result may depend on them: every ordering (printing,
+leading terms, sorted listings) goes through the decode view `mono_pairs`,
+which returns a monomial as its (atom, exponent) pairs sorted by atom.  A
+Poly maps monomials to nonzero coefficients, the zero polynomial being the
+empty map.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 KIND_COORD = 0
@@ -37,10 +50,14 @@ KIND_FUNC = 3
 KIND_THETA = 4
 
 Atom = tuple
-Monomial = tuple  # tuple[tuple[Atom, int], ...], sorted by atom
+Monomial = int  # packed exponents; see the module docstring
+Pairs = tuple  # tuple[tuple[Atom, int], ...], sorted by atom
 
 DEP: Atom = (KIND_DEP,)
 THETA: Atom = (KIND_THETA,)
+
+EXP_BITS = 8  # one byte per field, which `tuple_order` relies on
+EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 
 
 class MissingAtomError(Exception):
@@ -53,6 +70,10 @@ class NonSquareError(ValueError):
 
 class DivisorZeroError(ZeroDivisionError):
     """Exact division by the zero polynomial."""
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent does not fit its packed monomial field."""
 
 
 def coord(i: int) -> Atom:
@@ -76,18 +97,6 @@ def func_partial(comp: int, xs: Iterable[int] = (), du: int = 0) -> Atom:
     return (KIND_FUNC, comp, tuple(sorted(xs)), du)
 
 
-def atom_kind(a: Atom) -> int:
-    return a[0]
-
-
-def jet_indices(a: Atom) -> tuple[int, ...]:
-    return a[1]
-
-
-def jet_order(a: Atom) -> int:
-    return len(a[1])
-
-
 def atom_str(a: Atom) -> str:
     kind = a[0]
     if kind == KIND_COORD:
@@ -105,51 +114,108 @@ def atom_str(a: Atom) -> str:
     return name + "_" + "".join(f"x{i}" for i in xs) + "u" * du
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
+# -- packed monomials -------------------------------------------------------------
+#
+# The field table only grows, and a field keeps its atom for the life of the
+# process; _GUARD holds the guard bit of every field handed out so far.
+
+_SHIFT: dict[Atom, int] = {}  # atom -> bit offset of its exponent field
+_ATOM_AT: list[Atom] = []  # field number -> atom
+_GUARD = 0
+_FIELD_MASK = (1 << EXP_BITS) - 1
+_INTERN_LOCK = threading.Lock()
+
+
+def _shift(a: Atom) -> int:
+    sh = _SHIFT.get(a)
+    if sh is None:
+        global _GUARD
+        with _INTERN_LOCK:  # one field per atom, also across threads
+            sh = _SHIFT.get(a)
+            if sh is None:
+                sh = len(_ATOM_AT) * EXP_BITS
+                _ATOM_AT.append(a)
+                _GUARD |= 1 << (sh + EXP_BITS - 1)
+                _SHIFT[a] = sh
+    return sh
+
+
+def _field_mask(atoms: Iterable[Atom]) -> int:
+    """All exponent bits of the given atoms' fields."""
+    return sum(_FIELD_MASK << _shift(a) for a in set(atoms))
+
+
+def _check_exponents(monos: Iterable[Monomial]) -> None:
+    # exponents below 2^(EXP_BITS-1) never carry out of their field when
+    # added, so an overflow shows as a set guard bit
+    if reduce(or_, monos, 0) & _GUARD:
+        raise ExponentOverflowError(f"an exponent exceeds {EXP_MAX}")
+
+
+def mono_pairs(m: Monomial) -> Pairs:
+    """The (atom, exponent) pairs of a monomial, sorted by atom."""
     out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        aa, ae = a[i]
-        ba, be = b[j]
-        if aa == ba:
-            out.append((aa, ae + be))
-            i += 1
-            j += 1
-        elif aa < ba:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+    while m:
+        sh = (m.bit_length() - 1) // EXP_BITS * EXP_BITS
+        e = m >> sh
+        out.append((_ATOM_AT[sh // EXP_BITS], e))
+        m ^= e << sh
+    out.sort()
     return tuple(out)
 
 
+_ZERO_TO_TOP = bytes.maketrans(b"\0", b"\xff")
+
+
+def tuple_order(atoms: Iterable[Atom]) -> Callable[[Monomial], bytes]:
+    """A sort key for monomials over `atoms` that orders them as their
+    `mono_pairs` tuples, without decoding them.
+
+    The key is the exponent bytes (one byte per field) in atom order with
+    trailing zeros dropped and every other zero raised to 0xff: at the first
+    atom where two monomials differ, the one lacking it has a later atom,
+    which sorts higher, or ends, which sorts lower.
+    """
+    fields = [_shift(a) // EXP_BITS for a in sorted(set(atoms))]
+    width = max(fields, default=-1) + 1
+    if len(fields) == 1:
+        f = fields[0]
+        pick = lambda b: b[f:f + 1]
+    else:
+        getter = itemgetter(*fields)
+        pick = lambda b: bytes(getter(b))
+
+    def key(m: Monomial) -> bytes:
+        return pick(m.to_bytes(width, "little")).rstrip(b"\0").translate(_ZERO_TO_TOP)
+
+    return key
+
+
 def _mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Monomial:
-    acc: dict[Atom, int] = {}
+    m = 0
     for a, e in pairs:
-        acc[a] = acc.get(a, 0) + e
-    return tuple(sorted((a, e) for a, e in acc.items() if e != 0))
+        if not 0 <= e <= EXP_MAX:
+            raise ExponentOverflowError(
+                f"exponent {e} of {atom_str(a)} is outside 0..{EXP_MAX}")
+        m += e << _shift(a)
+    _check_exponents((m,))
+    return m
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Immutable by convention: no method mutates `terms`, and instances may be
-    shared freely across threads.
+    shared freely across threads.  Monomials are only meaningful inside the
+    process that packed them.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_pairs")
 
-    def __init__(self, terms: dict[Monomial, Fraction]):
+    def __init__(self, terms: dict[Monomial, int | Fraction]):
         # Trusted constructor: `terms` must be canonical (no zero
-        # coefficients, monomials sorted).  Use the classmethods otherwise.
+        # coefficients, integral ones as int, monomials packed by this
+        # module).  Use the classmethods otherwise.
         self.terms = terms
 
     # -- construction ------------------------------------------------------
@@ -160,21 +226,21 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        c = Fraction(value)
-        return cls({(): c} if c else {})
+        c = _coefficient(value)
+        return cls({0: c} if c else {})
 
     @classmethod
     def variable(cls, a: Atom) -> "Poly":
-        return cls({((a, 1),): Fraction(1)})
+        return cls({1 << _shift(a): 1})
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[Iterable[tuple[Atom, int]], object]]) -> "Poly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for pairs, c in items:
             m = _mono_from_pairs(pairs)
-            v = out.get(m, _ZERO) + Fraction(c)
+            v = out.get(m, 0) + _coefficient(c)
             if v:
-                out[m] = v
+                out[m] = _canon(v)
             else:
                 out.pop(m, None)
         return cls(out)
@@ -185,27 +251,29 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def term_pairs(self) -> list[tuple[Pairs, int | Fraction]]:
+        """The terms in order, each monomial decoded by `mono_pairs`
+        (computed once per polynomial)."""
+        try:
+            return self._pairs
+        except AttributeError:
+            self._pairs = [(mono_pairs(m), c) for m, c in self.terms.items()]
+            return self._pairs
+
     def atoms(self) -> set[Atom]:
-        return {a for m in self.terms for a, _ in m}
+        return {a for a, _ in mono_pairs(reduce(or_, self.terms, 0))}
 
     def max_jet_order(self) -> int:
-        best = 0
-        for m in self.terms:
-            for a, _ in m:
-                if a[0] == KIND_JET and len(a[1]) > best:
-                    best = len(a[1])
-        return best
+        return max((len(a[1]) for a in self.atoms() if a[0] == KIND_JET),
+                   default=0)
 
-    def as_constant(self) -> Fraction | None:
+    def as_constant(self) -> int | Fraction | None:
         """The value of a constant polynomial, else None."""
         if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+            return 0
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         return None
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -232,9 +300,9 @@ class Poly:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, _ZERO) + c
+            v = out.get(m, 0) + c
             if v:
-                out[m] = v
+                out[m] = _canon(v)
             else:
                 out.pop(m, None)
         return Poly(out)
@@ -252,22 +320,23 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coefficient(other)
             if not c:
                 return Poly({})
-            return Poly({m: v * c for m, v in self.terms.items()})
+            return Poly({m: _canon(v * c) for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.terms or not other.terms:
             return Poly({})
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         get = out.get
+        items = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                v = get(m, _ZERO) + c1 * c2
-                out[m] = v
-        return Poly({m: c for m, c in out.items() if c})
+            for m2, c2 in items:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        _check_exponents(out)
+        return Poly(_tidy(out))
 
     __rmul__ = __mul__
 
@@ -288,20 +357,45 @@ class Poly:
 
     def diff(self, a: Atom) -> "Poly":
         """Formal partial derivative treating every atom as independent."""
-        out: dict[Monomial, Fraction] = {}
+        sh = _SHIFT.get(a)
+        if sh is None:
+            return Poly({})
+        one = 1 << sh
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            for idx, (atom, e) in enumerate(m):
-                if atom == a:
-                    if e == 1:
-                        nm = m[:idx] + m[idx + 1:]
-                    else:
-                        nm = m[:idx] + ((atom, e - 1),) + m[idx + 1:]
-                    v = out.get(nm, _ZERO) + c * e
+            e = (m >> sh) & _FIELD_MASK
+            if e:
+                nm = m - one
+                v = out.get(nm, 0) + c * e
+                if v:
+                    out[nm] = _canon(v)
+                else:
+                    out.pop(nm, None)
+        return Poly(out)
+
+    def derivation(self, image: Callable[[Atom], "Poly"]) -> "Poly":
+        """The derivation D with D(a) = image(a) on every atom a, extended
+        to the polynomial by the Leibniz rule; image is called once per
+        atom."""
+        out: dict[Monomial, int | Fraction] = {}
+        images: dict[Atom, Poly] = {}
+        for (m, c), (pairs, _) in zip(self.terms.items(), self.term_pairs()):
+            for a, e in pairs:
+                da = images.get(a)
+                if da is None:
+                    da = images[a] = image(a)
+                if not da.terms:
+                    continue
+                rest = m - (1 << _SHIFT[a])
+                ce = c * e
+                for dm, dc in da.terms.items():
+                    mm = rest + dm
+                    v = out.get(mm, 0) + ce * dc
                     if v:
-                        out[nm] = v
+                        out[mm] = _canon(v)
                     else:
-                        out.pop(nm, None)
-                    break
+                        out.pop(mm, None)
+        _check_exponents(out)
         return Poly(out)
 
     def subs(self, a: Atom, replacement: "Poly | int | Fraction") -> "Poly":
@@ -311,29 +405,29 @@ class Poly:
         """Replace every occurrence of the mapped atoms, re-expanding."""
         if not mapping:
             return self
-        out: dict[Monomial, Fraction] = {}
+        mask = _field_mask(mapping)
+        out: dict[Monomial, int | Fraction] = {}
         powcache: dict[tuple[Atom, int], Poly] = {}
         for m, c in self.terms.items():
-            hit = [(a, e) for a, e in m if a in mapping]
+            hit = m & mask
             if not hit:
-                v = out.get(m, _ZERO) + c
+                v = out.get(m, 0) + c
                 if v:
-                    out[m] = v
+                    out[m] = _canon(v)
                 else:
                     out.pop(m, None)
                 continue
-            fixed = tuple((a, e) for a, e in m if a not in mapping)
-            piece = Poly({fixed: c})
-            for a, e in hit:
+            piece = Poly({m ^ hit: c})
+            for a, e in mono_pairs(hit):
                 q = powcache.get((a, e))
                 if q is None:
                     q = mapping[a] ** e
                     powcache[(a, e)] = q
                 piece = piece * q
             for mm, cc in piece.terms.items():
-                v = out.get(mm, _ZERO) + cc
+                v = out.get(mm, 0) + cc
                 if v:
-                    out[mm] = v
+                    out[mm] = _canon(v)
                 else:
                     out.pop(mm, None)
         return Poly(out)
@@ -346,7 +440,7 @@ class Poly:
         """
         total = Fraction(0)
         powcache: dict[tuple[Atom, int], Fraction] = {}
-        for m, c in self.terms.items():
+        for m, c in self.term_pairs():
             v = c
             for a, e in m:
                 p = powcache.get((a, e))
@@ -357,13 +451,13 @@ class Poly:
                         raise MissingAtomError(atom_str(a)) from None
                     p = base ** e
                     powcache[(a, e)] = p
-                v *= p
+                v = p * v  # a Fraction on the left takes the fast path
             total += v
         return total
 
     def evaluate_float(self, env: Mapping[Atom, float]) -> float:
         total = 0.0
-        for m, c in self.terms.items():
+        for m, c in self.term_pairs():
             v = float(c)
             for a, e in m:
                 try:
@@ -377,29 +471,53 @@ class Poly:
 
     def coefficient_powers(self, a: Atom) -> dict[int, "Poly"]:
         """Collect by the exponent of one atom: p = sum_r result[r] * a^r."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        sh = _shift(a)
+        buckets: dict[int, dict[Monomial, int | Fraction]] = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = m
-            for idx, (atom, ex) in enumerate(m):
-                if atom == a:
-                    e = ex
-                    rest = m[:idx] + m[idx + 1:]
-                    break
-            buckets.setdefault(e, {})[rest] = c
+            e = (m >> sh) & _FIELD_MASK
+            buckets.setdefault(e, {})[m - (e << sh)] = c
         return {e: Poly(t) for e, t in buckets.items()}
 
     def collect(self, select: Callable[[Atom], bool]) -> dict[Monomial, "Poly"]:
         """Group terms by their sub-monomial over the selected atoms."""
-        buckets: dict[Monomial, dict[Monomial, Fraction]] = {}
+        mask = _field_mask(a for a in self.atoms() if select(a))
+        buckets: dict[Monomial, dict[Monomial, int | Fraction]] = {}
         for m, c in self.terms.items():
-            key = tuple((a, e) for a, e in m if select(a))
-            rest = tuple((a, e) for a, e in m if not select(a))
-            buckets.setdefault(key, {})[rest] = c
+            key = m & mask
+            buckets.setdefault(key, {})[m ^ key] = c
         return {k: Poly(t) for k, t in buckets.items()}
 
 
-_ZERO = Fraction(0)
+def _canon(c: int | Fraction) -> int | Fraction:
+    """An integral coefficient as int, any other as Fraction."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _tidy(out: dict) -> dict:
+    """Drop zero coefficients and store integral ones as int."""
+    return {m: c if type(c) is int else _canon(c) for m, c in out.items() if c}
+
+
+def _coefficient(value) -> int | Fraction:
+    """An exact coefficient from outside the core; floats are refused so an
+    inexact value cannot enter a polynomial."""
+    if isinstance(value, float):
+        raise TypeError(f"polynomial coefficients must be exact, got float {value!r}")
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return _canon(value)
+    return _canon(Fraction(value))
+
+
+def exact_quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b without leaving exact arithmetic, as int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canon(Fraction(a) / b)
 
 
 def _as_poly(value) -> Poly:
@@ -436,7 +554,7 @@ def _lex_keys(polys: Iterable[Poly]) -> Callable[[Monomial], tuple]:
         k = cache.get(m)
         if k is None:
             vec = [0] * width
-            for a, e in m:
+            for a, e in mono_pairs(m):
                 vec[index[a]] = e
             k = tuple(vec)
             cache[m] = k
@@ -445,10 +563,12 @@ def _lex_keys(polys: Iterable[Poly]) -> Callable[[Monomial], tuple]:
     return key
 
 
-def sorted_terms(p: Poly) -> list[tuple[Monomial, Fraction]]:
-    """Terms in descending lexicographic order (deterministic output)."""
+def sorted_terms(p: Poly) -> list[tuple[Pairs, int | Fraction]]:
+    """Decoded terms in descending lexicographic order (deterministic
+    output)."""
     key = _lex_keys([p])
-    return sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+    return [(mono_pairs(m), c) for m, c in
+            sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)]
 
 
 def poly_str(p: Poly) -> str:
@@ -486,38 +606,34 @@ def divide_exact(p: Poly, q: Poly) -> Poly | None:
         return Poly.zero()
     qc = q.as_constant()
     if qc is not None:
-        return p * (1 / qc)
+        return p * exact_quotient(1, qc)
     key = _lex_keys([p, q])
     q_items = list(q.terms.items())
     lt_q = max(q.terms, key=key)
     c_q = q.terms[lt_q]
-    lt_q_map = dict(lt_q)
 
     rem = dict(p.terms)
-    quot: dict[Monomial, Fraction] = {}
+    quot: dict[Monomial, int | Fraction] = {}
     while rem:
         lt = max(rem, key=key)
-        # divisibility of monomials: exponentwise >=
-        ok = True
-        lt_map = dict(lt)
-        for a, e in lt_q_map.items():
-            if lt_map.get(a, 0) < e:
-                ok = False
-                break
-        if not ok:
+        # lt_q divides lt iff no field borrows: with the guard bits set in
+        # lt, a field of lt below that of lt_q clears its guard bit
+        guard = _GUARD
+        if ((lt | guard) - lt_q) & guard != guard:
             return None
-        qm = tuple(sorted((a, e - lt_q_map.get(a, 0)) for a, e in lt_map.items()
-                          if e - lt_q_map.get(a, 0)))
-        qcoef = rem[lt] / c_q
-        quot[qm] = quot.get(qm, _ZERO) + qcoef
+        qm = lt - lt_q
+        qcoef = exact_quotient(rem[lt], c_q)
+        quot[qm] = quot.get(qm, 0) + qcoef
         for m2, c2 in q_items:
-            mm = _mono_mul(qm, m2)
-            v = rem.get(mm, _ZERO) - qcoef * c2
+            mm = qm + m2
+            if mm & guard:
+                raise ExponentOverflowError(f"an exponent exceeds {EXP_MAX}")
+            v = rem.get(mm, 0) - qcoef * c2
             if v:
                 rem[mm] = v
             else:
                 rem.pop(mm, None)
-    return Poly({m: c for m, c in quot.items() if c})
+    return Poly(_tidy(quot))
 
 
 # -- symbolic matrices ---------------------------------------------------------
@@ -597,59 +713,90 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None
               ) -> tuple[int, list[list[Fraction]]]:
     """Exact nullspace of a rational matrix: (dimension, basis vectors).
 
-    Fraction-free (Bareiss) forward elimination after clearing denominators,
-    then rational back-substitution; M @ b == 0 exactly for every basis
-    vector b.  Basis vectors carry a 1 in their free column.
+    Sparse and fraction-free: every row is cleared of denominators into an
+    integer row {column: value}, pivots are taken left to right and each
+    new pivot row is divided by its content.  Back-substitution, right to
+    left and also in integers, leaves the reduced echelon form, from which
+    the basis is read.  Basis vectors carry a 1 in their own free column and
+    0 in every other free column, which makes the basis unique; M @ b == 0
+    exactly for every basis vector b.
     """
-    mat = [[Fraction(v) for v in r] for r in rows]
     if ncols is None:
-        if not mat:
+        if not rows:
             raise ValueError("ncols is required for an empty matrix")
-        ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
+        ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
 
-    work: list[list[int]] = []
-    for r in mat:
-        if any(r):
-            scale = lcm(*(v.denominator for v in r))
-            work.append([int(v * scale) for v in r])
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> integer row
+    for r in rows:
+        row = _integer_row(r)
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            row = _eliminate(row, prow, lead)
 
-    piv_cols: list[int] = []
-    prev = 1
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, len(work)) if work[r][c]), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            work[pr], work[piv] = work[piv], work[pr]
-        p = work[pr][c]
-        for r in range(pr + 1, len(work)):
-            row = work[r]
-            f = row[c]
-            prow = work[pr]
-            for j in range(c, ncols):
-                row[j] = (row[j] * p - f * prow[j]) // prev
-        prev = p
-        piv_cols.append(c)
-        pr += 1
-        if pr == len(work):
-            break
+    piv_cols = sorted(pivots)
+    for k in range(len(piv_cols) - 1, 0, -1):
+        c = piv_cols[k]
+        prow = pivots[c]
+        for c2 in piv_cols[:k]:
+            row = pivots[c2]
+            if c in row:
+                pivots[c2] = _eliminate(row, prow, c)
 
-    rank = len(piv_cols)
-    pivset = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in pivset]
+    zero, one = Fraction(0), Fraction(1)
+    free_cols = [c for c in range(ncols) if c not in pivots]
     basis: list[list[Fraction]] = []
     for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r in range(rank - 1, -1, -1):
-            pc = piv_cols[r]
-            s = sum((work[r][j] * v[j] for j in range(pc + 1, ncols)), Fraction(0))
-            v[pc] = -s / work[r][pc]
+        v = [zero] * ncols
+        v[fc] = one
+        for c, row in pivots.items():
+            a = row.get(fc)
+            if a:
+                v[c] = Fraction(-a, row[c])
         basis.append(v)
     return len(free_cols), basis
+
+
+def _integer_row(r: Sequence) -> dict[int, int]:
+    """The nonzero entries of a rational row as coprime integers."""
+    entries = {}
+    for j, v in enumerate(r):
+        if v:
+            q = v if type(v) is int else Fraction(v)
+            if q:
+                entries[j] = q
+    if not entries:
+        return entries
+    scale = lcm(*(q.denominator for q in entries.values()))
+    return _primitive({j: q.numerator * (scale // q.denominator)
+                       for j, q in entries.items()})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {j: v // g for j, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int
+               ) -> dict[int, int]:
+    """row * a - prow * b with column c cancelled, divided by its content."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    out = {j: v * a for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in prow.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out) if out else out
 
 
 def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:

@@ -502,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     em = _Emitter(args.command, config)
     try:
         return args.func(args, config, em)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError,
+            ZeroDivisionError) as exc:
         return em.error(exc)
 
 

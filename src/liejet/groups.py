@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -216,11 +216,15 @@ class SolutionSample:
             return self.poly.evaluate_float(env)
         return self.fn(x)
 
+    @cached_property
+    def _partials(self) -> tuple[Poly, ...]:
+        """The x-partials of a polynomial sample, differentiated once."""
+        return tuple(self.poly.diff(coord(i + 1)) for i in range(self.n))
+
     def gradient(self, x: Sequence[float]) -> list[float]:
         if self.kind == "polynomial":
             env = {coord(i + 1): float(x[i]) for i in range(self.n)}
-            return [self.poly.diff(coord(i + 1)).evaluate_float(env)
-                    for i in range(self.n)]
+            return [d.evaluate_float(env) for d in self._partials]
         h = 1e-6
         out = []
         for i in range(self.n):
@@ -434,7 +438,7 @@ def _affine_parts(p: Poly, n: int, what: str) -> tuple[list[Fraction], Fraction,
     xs = [Fraction(0)] * n
     uc = Fraction(0)
     const = Fraction(0)
-    for m, c in p.terms.items():
+    for m, c in p.term_pairs():
         if m == ():
             const = c
         elif len(m) == 1 and m[0][1] == 1 and m[0][0][0] == 0:  # coord atom

@@ -29,11 +29,11 @@ from .algebra import (
     KIND_THETA,
     Monomial,
     Poly,
-    _mono_mul,
     atom_str,
     coord,
     func_partial,
     jet,
+    mono_pairs,
     point_partial,
 )
 
@@ -150,29 +150,7 @@ def total_derivative(p: Poly, i: int) -> Poly:
     """
     if i < 1:
         raise ValueError("direction index must be >= 1")
-    out: dict[Monomial, Fraction] = {}
-    dcache: dict[Atom, Poly] = {}
-    for m, c in p.terms.items():
-        for idx, (a, e) in enumerate(m):
-            da = dcache.get(a)
-            if da is None:
-                da = _atom_total_derivative(a, i)
-                dcache[a] = da
-            if da.is_zero:
-                continue
-            if e == 1:
-                rest = m[:idx] + m[idx + 1:]
-            else:
-                rest = m[:idx] + ((a, e - 1),) + m[idx + 1:]
-            ce = c * e
-            for dm, dc in da.terms.items():
-                mm = _mono_mul(rest, dm)
-                v = out.get(mm, Fraction(0)) + ce * dc
-                if v:
-                    out[mm] = v
-                else:
-                    out.pop(mm, None)
-    return Poly(out)
+    return p.derivation(lambda a: _atom_total_derivative(a, i))
 
 
 def _atom_total_derivative(a: Atom, i: int) -> Poly:
@@ -232,7 +210,7 @@ def circle_sum(pattern: Callable[[tuple[int, ...]], Poly],
     """
     m = len(indices)
     gen = _GENERIC[:m]
-    seen: dict[Monomial, Fraction] = {}
+    seen: dict[Monomial, int | Fraction] = {}
     for perm in itertools.permutations(range(m)):
         p = pattern(tuple(gen[t] for t in perm))
         for mono, c in p.terms.items():
@@ -242,8 +220,9 @@ def circle_sum(pattern: Callable[[tuple[int, ...]], Poly],
             elif prev != c:
                 raise ValueError("pattern is ambiguous under permutation")
     relabel = dict(zip(gen, indices))
-    return Poly.from_terms((((_relabel_atom(a, relabel), e) for a, e in mono), c)
-                           for mono, c in seen.items())
+    return Poly.from_terms(
+        (((_relabel_atom(a, relabel), e) for a, e in mono_pairs(mono)), c)
+        for mono, c in seen.items())
 
 
 def _relabel_atom(a: Atom, relabel: dict[int, int]) -> Atom:

@@ -17,10 +17,11 @@ basis of generators closes under the Lie bracket.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable
 
 from .algebra import (
@@ -33,8 +34,11 @@ from .algebra import (
     THETA,
     coord,
     divide_exact,
+    exact_quotient,
+    mono_pairs,
     nullspace,
     solve_exact,
+    tuple_order,
 )
 from .equations import (
     JetPoint,
@@ -179,7 +183,7 @@ def _span_monomials(fields) -> list[Monomial]:
     for f in fields:
         for p in (*f.xi, f.phi):
             monos.update(p.terms)
-    return sorted(monos)
+    return sorted(monos, key=mono_pairs)
 
 
 def _field_vector(v: VectorField, monos: list[Monomial]) -> list[Fraction]:
@@ -288,28 +292,41 @@ def _is_func_atom(a: Atom) -> bool:
     return a[0] == KIND_FUNC
 
 
-def _normalize_linear(eq: Poly) -> Poly:
-    lead = max(eq.terms)
-    return eq * (1 / eq.terms[lead])
-
-
 def _linear_system(eqs: Iterable[Poly]
                    ) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
     """Drop zero equations, scale each to leading coefficient 1 and keep the
-    first copy of each, in order; return (unknowns, equations)."""
+    first copy of each, in order; return (unknowns, equations).
+
+    The leading term is the largest monomial in the (atom, exponent) tuple
+    order; the equations share few distinct monomials, so their decoded
+    forms are memoized for the call.  Copies are recognised by their
+    integer primitive form, so only the kept equations are scaled."""
+    lead_key = cache(mono_pairs)
     seen: set[frozenset] = set()
     equations: list[Poly] = []
     for eq in eqs:
         if eq.is_zero:
             continue
-        norm = _normalize_linear(eq)
-        key = frozenset(norm.terms.items())
+        lead = eq.terms[max(eq.terms, key=lead_key)]
+        key = _primitive_form(eq, lead)
         if key not in seen:
             seen.add(key)
-            equations.append(norm)
+            equations.append(eq * exact_quotient(1, lead))
     unknowns = sorted({a for eq in equations for a in eq.atoms()
                        if _is_func_atom(a)})
     return tuple(unknowns), tuple(equations)
+
+
+def _primitive_form(eq: Poly, lead) -> frozenset:
+    """The terms scaled to coprime integers with a positive leading
+    coefficient: equal exactly for nonzero multiples of one equation."""
+    coeffs = eq.terms.values()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*nums)
+    if lead < 0:
+        g = -g
+    return frozenset(zip(eq.terms, [v // g for v in nums]))
 
 
 def _extract_raw(sys: PdeSystem) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
@@ -325,9 +342,13 @@ def _extract_raw(sys: PdeSystem) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
 
     # group by jet monomials; a symbolic theta stays inside the equations
     # (the master system) and is specialized by extract_determining
-    groups = cleared.collect(
-        lambda a: not _is_func_atom(a) and a[0] != KIND_THETA)
-    return _linear_system(eq for _, eq in sorted(groups.items()))
+    def is_jet_part(a: Atom) -> bool:
+        return not _is_func_atom(a) and a[0] != KIND_THETA
+
+    groups = cleared.collect(is_jet_part)
+    order = tuple_order(a for a in cleared.atoms() if is_jet_part(a))
+    return _linear_system(eq for _, eq in
+                          sorted(groups.items(), key=lambda kv: order(kv[0])))
 
 
 @lru_cache(maxsize=None)
@@ -437,10 +458,10 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
         (f, k) for f in funcs for k in range(len(monos)))}
     ncols = len(col_of)
 
-    rows: set[tuple[Fraction, ...]] = set()
+    rows: set[tuple[int | Fraction, ...]] = set()
     for eq in ds.equations:
-        by_target: dict[tuple[tuple[int, ...], int], dict[int, Fraction]] = {}
-        for mono_eq, lam in eq.terms.items():
+        by_target: dict[tuple[tuple[int, ...], int], dict[int, int | Fraction]] = {}
+        for mono_eq, lam in eq.term_pairs():
             (atom, _e), = mono_eq
             _, comp, xs, du = atom
             xcounts = [0] * n
@@ -464,9 +485,9 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
                           uexp - du)
                 row = by_target.setdefault(target, {})
                 col = col_of[(comp, k)]
-                row[col] = row.get(col, Fraction(0)) + c
+                row[col] = row.get(col, 0) + c
         for cols in by_target.values():
-            vec = [Fraction(0)] * ncols
+            vec = [0] * ncols
             nonzero = False
             for c, val in cols.items():
                 if val:

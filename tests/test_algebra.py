@@ -7,19 +7,24 @@ from hypothesis import strategies as st
 
 from liejet.algebra import (
     DEP,
+    EXP_MAX,
     DivisorZeroError,
+    ExponentOverflowError,
     MissingAtomError,
     NonSquareError,
     Poly,
     THETA,
     coord,
     divide_exact,
+    func_partial,
     jet,
+    mono_pairs,
     nullspace,
     poly_str,
     solve_exact,
     sym_adjugate,
     sym_det,
+    tuple_order,
 )
 from conftest import leibniz_hessian_det
 
@@ -90,6 +95,84 @@ class TestRingOps:
         for _ in range(e):
             expected = expected * p
         assert p ** e == expected
+
+
+def all_fraction(p: Poly) -> Poly:
+    """The same polynomial with every coefficient stored as a Fraction."""
+    return Poly({m: Fraction(c) for m, c in p.terms.items()})
+
+
+def integral_as_int(p: Poly) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("make", [
+        lambda: Poly.const(0.5),
+        lambda: Poly.from_terms([(((DEP, 1),), 0.5)]),
+        lambda: x1 * 0.5,
+        lambda: 0.5 * x1,
+        lambda: x1 + 0.5,
+    ])
+    def test_float_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_integral_fraction_stored_as_int(self):
+        p = Poly.const(Fraction(6, 3)) + Fraction(1, 2) * x1 * 2
+        assert all(type(c) is int for c in p.terms.values())
+
+    @given(polys, polys)
+    @settings(max_examples=60)
+    def test_integral_coefficients_are_int(self, p, q):
+        fp, fq = all_fraction(p), all_fraction(q)
+        results = [
+            (p + q, fp + fq),
+            (p - q, fp - fq),
+            (p * q, fp * fq),
+            (p ** 3, fp ** 3),
+            (p.diff(coord(1)), fp.diff(coord(1))),
+            (p.subs(DEP, q), fp.subs(DEP, fq)),
+        ]
+        if q:
+            results.append((divide_exact(p * q, q), divide_exact(fp * fq, fq)))
+        for got, reference in results:
+            assert integral_as_int(got)
+            assert got == reference
+        if q:
+            assert results[-1][0] == p
+
+
+class TestPackedExponents:
+    def test_largest_exponent(self):
+        p = x1 ** EXP_MAX * x2
+        assert p.diff(coord(1)) == EXP_MAX * x1 ** (EXP_MAX - 1) * x2
+        assert p.diff(coord(2)) == x1 ** EXP_MAX
+
+    @pytest.mark.parametrize("make", [
+        lambda: x1 ** EXP_MAX * x1,
+        lambda: x1 ** (EXP_MAX + 1),
+        lambda: (x1 + u) ** (2 * EXP_MAX),
+        lambda: Poly.from_terms([(((DEP, EXP_MAX + 1),), 1)]),
+        lambda: Poly.from_terms([(((DEP, EXP_MAX), (DEP, 1)), 1)]),
+        lambda: divide_exact(x1 ** 2 * x2 ** EXP_MAX, x1 ** 2 + x2),
+    ])
+    def test_overflow_raises(self, make):
+        with pytest.raises(ExponentOverflowError):
+            make()
+
+    @given(st.lists(monomials, min_size=1, max_size=12))
+    def test_tuple_order_matches_decoded_order(self, monos):
+        packed = [m for m, in (Poly.from_terms([(mono, 1)]).terms
+                               for mono in monos)]
+        key = tuple_order(ATOM_POOL)
+        assert sorted(packed, key=key) == sorted(packed, key=mono_pairs)
+
+    def test_decode_sorts_by_atom(self):
+        late = func_partial(2, (1, 1), 1)
+        m, = (Poly.variable(late) * u11 * x2 ** 3).terms
+        assert mono_pairs(m) == ((coord(2), 3), (jet(1, 1), 1), (late, 1))
 
 
 class TestDerivativeAndSubstitution:
@@ -166,7 +249,7 @@ class TestSymbolicMatrices:
         assert d == leibniz_hessian_det(3)
         # symmetric storage collapses the two odd 3-cycles into one monomial
         assert len(d.terms) == 6 - 1
-        assert all(sum(e for _, e in m) == 3 for m in d.terms)
+        assert all(sum(e for _, e in m) == 3 for m, _ in d.term_pairs())
 
     def test_nonsquare(self):
         with pytest.raises(NonSquareError):
@@ -196,6 +279,49 @@ class TestSymbolicMatrices:
                 for k in range(n):
                     entry = entry + adj[i][k] * m[k][j]
                 assert entry == (det if i == j else Poly.zero())
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero rational matrices of any shape, with zero and repeated
+    rows."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), rationals)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return rows, ncols
+
+
+def dense_nullspace(rows, ncols):
+    """Reference: dense Gauss-Jordan over Fraction; returns the free columns
+    and the basis with a 1 in its own free column and 0 in every other."""
+    mat = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        piv = next((i for i in range(len(pivots), len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -mat[r][fc]
+        basis.append(v)
+    return free, basis
 
 
 class TestNullspace:
@@ -237,6 +363,24 @@ class TestNullspace:
                     mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
             rank += 1
         assert dim == 4 - rank
+
+    @given(sparse_matrices())
+    @settings(max_examples=150)
+    def test_matches_dense_reference(self, matrix):
+        rows, ncols = matrix
+        dim, basis = nullspace(rows, ncols=ncols)
+        free, reference = dense_nullspace(rows, ncols)
+        assert dim == len(free)
+        assert basis == reference
+        for k, b in enumerate(basis):
+            assert [b[c] for c in free] == [int(j == k) for j in range(dim)]
+            for r in rows:
+                assert sum(Fraction(x) * v for x, v in zip(r, b)) == 0
+
+    def test_no_rows(self):
+        dim, basis = nullspace([], ncols=3)
+        assert dim == 3
+        assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_solve_exact_inconsistent(self):
         assert solve_exact([[1, 1], [1, 1]], [1, 2]) is None
@@ -282,5 +426,5 @@ class TestDivideExact:
 
 def test_poly_str_deterministic():
     p = u11 * u22 - u12 ** 2 - 1
-    assert poly_str(p) == poly_str(Poly.from_terms(list(p.terms.items())))
+    assert poly_str(p) == poly_str(Poly.from_terms(p.term_pairs()))
     assert poly_str(Poly.zero()) == "0"

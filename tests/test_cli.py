@@ -154,6 +154,17 @@ class TestOrbit:
         assert rep["results"][0]["passed"]
         assert rep["results"][0]["residual_polynomial_zero"]
 
+    def test_zero_denominator_is_an_error_report(self, capsys, tmp_path):
+        g = tmp_path / "g0.json"
+        g.write_text(json.dumps({"Q": [["1/0", "0"], ["0", "1"]]}))
+        code = main(["--n", "2", "--theta", "3/4", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(g),
+                     "--solution", "quadratic:identity"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ZeroDivisionError"
+        assert "Traceback" not in err
+
     def test_am1d_transport(self, capsys, tmp_path):
         g = tmp_path / "g1.json"
         g.write_text(json.dumps({"Q": [["2"]], "c": "3", "D": ["1/3"]}))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liejet.algebra import DEP, Poly, coord, jet, poly_str
+from liejet.algebra import DEP, ExponentOverflowError, Poly, coord, jet, poly_str
 from liejet.dsl import (
     DivisionNotSupportedError,
     IndexOutOfRangeError,
@@ -64,6 +64,11 @@ class TestParseExpression:
     def test_unknown_name(self):
         with pytest.raises(ParseError):
             parse_expression("y1 + 1", 1)
+
+    def test_huge_exponent_refused(self):
+        # refused as soon as an exponent passes EXP_MAX, without expanding
+        with pytest.raises(ExponentOverflowError):
+            parse_expression("(x1 + u)^1000000000", 1)
 
 
 ATOMS = st.sampled_from(["x1", "x2", "u", "u[1]", "u[1,1]", "u[1,2]", "theta"])

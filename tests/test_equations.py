@@ -69,7 +69,7 @@ class TestAffineMaximalBuilder:
     def test_quadratic_jets_solve(self):
         # every term carries a third- or fourth-order jet variable
         sys = build_affine_maximal(2)
-        for m in sys.F.terms:
+        for m, _ in sys.F.term_pairs():
             assert any(a[0] == KIND_JET and len(a[1]) >= 3 for a, _ in m)
 
     def test_pinned_theta(self):

@@ -41,6 +41,10 @@ CASES = {
     "classify-am-t3_4": (
         0, ["--n", "2", "--theta", "3/4", "classify", "--eq", "am"], {}),
     "determining-ma": (0, ["--n", "2", "determining", "--eq", "ma"], {}),
+    "determining-am-t3_4": (
+        0, ["--n", "2", "--theta", "3/4", "determining", "--eq", "am"], {}),
+    "classify-ma-n3-d3": (
+        0, ["--n", "3", "--degree", "3", "classify", "--eq", "ma"], {}),
     "bracket-table-am-special": (
         0, ["--n", "2", "bracket-table", "--basis", "am-special"], {}),
     "prolong-explicit-o4": (

@@ -165,6 +165,14 @@ class TestSolutionFamilies:
         am = build_affine_maximal(2, Fraction(3, 4))
         assert residual_polynomial(s, am).is_zero
 
+    def test_gradient_is_the_exact_partials(self):
+        s = solution_family("quadratic", {"M": [[2, 1], [1, 3]], "l": [1, -2]})
+        x = [0.3, -1.7]
+        env = {coord(1): x[0], coord(2): x[1]}
+        want = [s.poly.diff(coord(i)).evaluate_float(env) for i in (1, 2)]
+        assert s.gradient(x) == want
+        assert s.gradient(x) == want  # second call reuses the partials
+
     def test_ma_needs_unit_determinant(self, ma2):
         s = solution_family("quadratic", {"M": [[2, 0], [0, 1]]})
         r = residual_polynomial(s, ma2)

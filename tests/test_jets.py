@@ -104,7 +104,7 @@ class TestProlongRecursive:
     def test_symbolic_coeffs_linear_in_unknowns(self):
         pf = prolong_recursive(SymbolicVectorField(2), 4)
         for J, c in pf.coeffs.items():
-            for mono, _ in c.terms.items():
+            for mono, _ in c.term_pairs():
                 fp = [(a, e) for a, e in mono if a[0] == 3]
                 assert len(fp) == 1 and fp[0][1] == 1
 

@@ -232,7 +232,7 @@ class TestDetermining:
     def test_no_jets_and_linear_in_unknowns(self, ma2):
         ds = extract_determining(ma2)
         for eq in ds.equations:
-            for mono, _ in eq.terms.items():
+            for mono, _ in eq.term_pairs():
                 assert len(mono) == 1
                 atom, e = mono[0]
                 assert atom[0] == 3 and e == 1  # one unknown symbol, degree 1
@@ -290,7 +290,7 @@ class TestDetermining:
             out = []
             for eq in eqs:
                 vec = [Fraction(0)] * len(unknowns)
-                for mono, c in eq.terms.items():
+                for mono, c in eq.term_pairs():
                     (atom, _), = mono
                     vec[idx[atom]] = c
                 out.append(vec)
