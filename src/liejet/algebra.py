@@ -164,6 +164,23 @@ def mono_pairs(m: Monomial) -> Pairs:
     return tuple(out)
 
 
+def lex_order(atoms: Iterable[Atom]) -> Callable[[Monomial], bytes]:
+    """A sort key for monomials over `atoms`: their exponent bytes (one byte
+    per field) in atom order, fixed width, so keys compare as exponent
+    vectors.  Earlier (smaller) atoms take priority and a higher exponent
+    sorts larger; the order is multiplicative, which `divide_exact` needs
+    for termination."""
+    fields = [_shift(a) // EXP_BITS for a in sorted(set(atoms))]
+    width = max(fields, default=-1) + 1
+    if not fields:
+        return lambda m: b""
+    if len(fields) == 1:
+        f = fields[0]
+        return lambda m: m.to_bytes(width, "little")[f:f + 1]
+    getter = itemgetter(*fields)
+    return lambda m: bytes(getter(m.to_bytes(width, "little")))
+
+
 _ZERO_TO_TOP = bytes.maketrans(b"\0", b"\xff")
 
 
@@ -171,24 +188,13 @@ def tuple_order(atoms: Iterable[Atom]) -> Callable[[Monomial], bytes]:
     """A sort key for monomials over `atoms` that orders them as their
     `mono_pairs` tuples, without decoding them.
 
-    The key is the exponent bytes (one byte per field) in atom order with
-    trailing zeros dropped and every other zero raised to 0xff: at the first
-    atom where two monomials differ, the one lacking it has a later atom,
-    which sorts higher, or ends, which sorts lower.
+    The key is the `lex_order` key with trailing zeros dropped and every
+    other zero raised to 0xff: at the first atom where two monomials differ,
+    the one lacking it has a later atom, which sorts higher, or ends, which
+    sorts lower.
     """
-    fields = [_shift(a) // EXP_BITS for a in sorted(set(atoms))]
-    width = max(fields, default=-1) + 1
-    if len(fields) == 1:
-        f = fields[0]
-        pick = lambda b: b[f:f + 1]
-    else:
-        getter = itemgetter(*fields)
-        pick = lambda b: bytes(getter(b))
-
-    def key(m: Monomial) -> bytes:
-        return pick(m.to_bytes(width, "little")).rstrip(b"\0").translate(_ZERO_TO_TOP)
-
-    return key
+    lex = lex_order(atoms)
+    return lambda m: lex(m).rstrip(b"\0").translate(_ZERO_TO_TOP)
 
 
 def _mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Monomial:
@@ -539,34 +545,11 @@ def point_partial(p: Poly, xs: Iterable[int] = (), du: int = 0) -> Poly:
 
 
 # -- deterministic term order -------------------------------------------------
-#
-# Lexicographic over the atom total order: earlier (smaller) atoms take
-# priority and a higher exponent sorts larger.  This order is multiplicative,
-# which `divide_exact` needs for termination.
-
-def _lex_keys(polys: Iterable[Poly]) -> Callable[[Monomial], tuple]:
-    universe = sorted({a for p in polys for a in p.atoms()})
-    index = {a: i for i, a in enumerate(universe)}
-    width = len(universe)
-    cache: dict[Monomial, tuple] = {}
-
-    def key(m: Monomial) -> tuple:
-        k = cache.get(m)
-        if k is None:
-            vec = [0] * width
-            for a, e in mono_pairs(m):
-                vec[index[a]] = e
-            k = tuple(vec)
-            cache[m] = k
-        return k
-
-    return key
-
 
 def sorted_terms(p: Poly) -> list[tuple[Pairs, int | Fraction]]:
     """Decoded terms in descending lexicographic order (deterministic
     output)."""
-    key = _lex_keys([p])
+    key = lex_order(p.atoms())
     return [(mono_pairs(m), c) for m, c in
             sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)]
 
@@ -607,7 +590,7 @@ def divide_exact(p: Poly, q: Poly) -> Poly | None:
     qc = q.as_constant()
     if qc is not None:
         return p * exact_quotient(1, qc)
-    key = _lex_keys([p, q])
+    key = lex_order(p.atoms() | q.atoms())
     q_items = list(q.terms.items())
     lt_q = max(q.terms, key=key)
     c_q = q.terms[lt_q]
@@ -713,24 +696,66 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None
               ) -> tuple[int, list[list[Fraction]]]:
     """Exact nullspace of a rational matrix: (dimension, basis vectors).
 
-    Sparse and fraction-free: every row is cleared of denominators into an
-    integer row {column: value}, pivots are taken left to right and each
-    new pivot row is divided by its content.  Back-substitution, right to
-    left and also in integers, leaves the reduced echelon form, from which
-    the basis is read.  Basis vectors carry a 1 in their own free column and
-    0 in every other free column, which makes the basis unique; M @ b == 0
-    exactly for every basis vector b.
+    Read from the reduced echelon form of `_reduced_echelon`.  Basis vectors
+    carry a 1 in their own free column and 0 in every other free column,
+    which makes the basis unique; M @ b == 0 exactly for every basis vector
+    b.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(rows[0])
+    pivots = _reduced_echelon(rows, ncols)
+    zero, one = Fraction(0), Fraction(1)
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis: list[list[Fraction]] = []
+    for fc in free_cols:
+        v = [zero] * ncols
+        v[fc] = one
+        for c, row in pivots.items():
+            a = row.get(fc)
+            if a:
+                v[c] = Fraction(-a, row[c])
+        basis.append(v)
+    return len(free_cols), basis
+
+
+def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None when there is none.
+
+    The reduced echelon form of [A | -b] (`_reduced_echelon`) decides it:
+    the system is inconsistent exactly when the last column is a pivot.
+    Otherwise every pivot row reads row[c] * x[c] + row[ncols] = 0 once the
+    free variables are set to 0, which gives the unique solution of the
+    reduced form with free variables 0.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots = _reduced_echelon(
+        [(*r, -Fraction(b)) for r, b in zip(rows, rhs, strict=True)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in pivots.items():
+        x[c] = Fraction(-row.get(ncols, 0), row[c])
+    return x
+
+
+def _reduced_echelon(rows: Sequence[Sequence], ncols: int
+                     ) -> dict[int, dict[int, int]]:
+    """The reduced echelon form of a rational matrix as {pivot column:
+    integer row}, each row a sparse {column: value} map.
+
+    Sparse and fraction-free: every row is cleared of denominators into a
+    coprime integer row (`integer_primitive`), pivots are taken by leading column and each new pivot row
+    is divided by its content.  Back-substitution, right to left and also in
+    integers, clears every pivot column from the other pivot rows.
+    """
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-
-    pivots: dict[int, dict[int, int]] = {}  # pivot column -> integer row
+    pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        row = _integer_row(r)
+        qs = (v if type(v) is int else Fraction(v) for v in r)
+        row = integer_primitive({j: q for j, q in enumerate(qs) if q})
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -747,34 +772,19 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None
             row = pivots[c2]
             if c in row:
                 pivots[c2] = _eliminate(row, prow, c)
-
-    zero, one = Fraction(0), Fraction(1)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for c, row in pivots.items():
-            a = row.get(fc)
-            if a:
-                v[c] = Fraction(-a, row[c])
-        basis.append(v)
-    return len(free_cols), basis
+    return pivots
 
 
-def _integer_row(r: Sequence) -> dict[int, int]:
-    """The nonzero entries of a rational row as coprime integers."""
-    entries = {}
-    for j, v in enumerate(r):
-        if v:
-            q = v if type(v) is int else Fraction(v)
-            if q:
-                entries[j] = q
+def integer_primitive(entries: Mapping) -> dict:
+    """Nonzero rational values scaled to coprime integers: multiplied by the
+    lcm of their denominators, then divided by the (positive) gcd.  Two
+    mappings have the same form exactly when one is a positive multiple of
+    the other."""
     if not entries:
-        return entries
+        return {}
     scale = lcm(*(q.denominator for q in entries.values()))
-    return _primitive({j: q.numerator * (scale // q.denominator)
-                       for j, q in entries.items()})
+    return _primitive({k: q.numerator * (scale // q.denominator)
+                       for k, q in entries.items()})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -797,38 +807,3 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int
         else:
             del out[j]
     return _primitive(out) if out else out
-
-
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    mat = [[Fraction(v) for v in r] for r in rows]
-    b = [Fraction(v) for v in rhs]
-    if len(mat) != len(b):
-        raise ValueError("shape mismatch")
-    ncols = len(mat[0]) if mat else 0
-    piv_cols: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, len(mat)) if mat[r][c]), None)
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        b[pr], b[piv] = b[piv], b[pr]
-        inv = 1 / mat[pr][c]
-        mat[pr] = [v * inv for v in mat[pr]]
-        b[pr] *= inv
-        for r in range(len(mat)):
-            if r != pr and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[pr])]
-                b[r] -= f * b[pr]
-        piv_cols.append(c)
-        pr += 1
-    for r in range(pr, len(mat)):
-        if b[r]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(piv_cols):
-        x[c] = b[r]
-    return x
-

@@ -332,15 +332,23 @@ def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
 def _load_element(path: str, n: int) -> GroupElement:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    frac = Fraction
-    q = [[frac(v) for v in row] for row in data["Q"]]
-    p = [frac(v) for v in data.get("P", [0] * n)]
-    dvec = [frac(v) for v in data.get("D", [0] * n)]
-    c = frac(data.get("c", 1))
-    r = [frac(v) for v in data.get("R", [0] * n)]
-    d = frac(data.get("d", 0))
+    if not isinstance(data, dict):
+        raise ValueError("the element file must hold a JSON object")
+    q = data.get("Q")
+    if not (isinstance(q, list) and len(q) == n):
+        raise ValueError(f"element Q must be a list of {n} rows")
+    q = [_element_numbers(row, "Q row", n) for row in q]
+    p, dvec, r = (_element_numbers(data.get(k, [0] * n), k, n) for k in "PDR")
+    c, d = _element_numbers([data.get("c", 1), data.get("d", 0)], "c, d", 2)
     regime = data.get("regime", "am-generic")
     return make_am_element(q, p, dvec, c, r, d, regime=regime)
+
+
+def _element_numbers(value, name: str, n: int) -> list[Fraction]:
+    if not (isinstance(value, list) and len(value) == n
+            and all(isinstance(v, (int, float, str)) for v in value)):
+        raise ValueError(f"element {name} must be {n} numbers")
+    return [Fraction(v) for v in value]
 
 
 def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:

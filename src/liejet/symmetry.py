@@ -21,20 +21,19 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Iterable
 
 from .algebra import (
     Atom,
     DEP,
     KIND_FUNC,
-    KIND_THETA,
     Monomial,
     Poly,
-    THETA,
     coord,
     divide_exact,
     exact_quotient,
+    integer_primitive,
     mono_pairs,
     nullspace,
     solve_exact,
@@ -43,8 +42,6 @@ from .algebra import (
 from .equations import (
     JetPoint,
     PdeSystem,
-    build_affine_maximal,
-    build_monge_ampere,
     sample_point,
 )
 from .jets import (
@@ -300,71 +297,26 @@ def _linear_system(eqs: Iterable[Poly]
     The leading term is the largest monomial in the (atom, exponent) tuple
     order; the equations share few distinct monomials, so their decoded
     forms are memoized for the call.  Copies are recognised by their
-    integer primitive form, so only the kept equations are scaled."""
+    integer primitive form with a positive leading coefficient, so only the
+    kept equations are scaled."""
     lead_key = cache(mono_pairs)
     seen: set[frozenset] = set()
     equations: list[Poly] = []
     for eq in eqs:
         if eq.is_zero:
             continue
-        lead = eq.terms[max(eq.terms, key=lead_key)]
-        key = _primitive_form(eq, lead)
+        lead = max(eq.terms, key=lead_key)
+        form = integer_primitive(eq.terms)
+        if form[lead] > 0:
+            key = frozenset(form.items())
+        else:
+            key = frozenset((m, -v) for m, v in form.items())
         if key not in seen:
             seen.add(key)
-            equations.append(eq * exact_quotient(1, lead))
+            equations.append(eq * exact_quotient(1, eq.terms[lead]))
     unknowns = sorted({a for eq in equations for a in eq.atoms()
                        if _is_func_atom(a)})
     return tuple(unknowns), tuple(equations)
-
-
-def _primitive_form(eq: Poly, lead) -> frozenset:
-    """The terms scaled to coprime integers with a positive leading
-    coefficient: equal exactly for nonzero multiples of one equation."""
-    coeffs = eq.terms.values()
-    den = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = math.gcd(*nums)
-    if lead < 0:
-        g = -g
-    return frozenset(zip(eq.terms, [v // g for v in nums]))
-
-
-def _extract_raw(sys: PdeSystem) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
-    # PdeSystem guarantees that F is affine-linear in its top variable
-    R = apply_prolonged(SymbolicVectorField(sys.n), sys.F, sys.order)
-    A = sys.F.diff(sys.top_var)
-    B = sys.F - A * Poly.variable(sys.top_var)
-    powers = R.coefficient_powers(sys.top_var)
-    m = max(powers)
-    cleared = Poly.zero()
-    for r, c_r in powers.items():
-        cleared = cleared + c_r * (-B) ** r * A ** (m - r)
-
-    # group by jet monomials; a symbolic theta stays inside the equations
-    # (the master system) and is specialized by extract_determining
-    def is_jet_part(a: Atom) -> bool:
-        return not _is_func_atom(a) and a[0] != KIND_THETA
-
-    groups = cleared.collect(is_jet_part)
-    order = tuple_order(a for a in cleared.atoms() if is_jet_part(a))
-    return _linear_system(eq for _, eq in
-                          sorted(groups.items(), key=lambda kv: order(kv[0])))
-
-
-@lru_cache(maxsize=None)
-def _master_determining(name: str, n: int) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
-    """Symbolic-parameter extraction, computed once per equation family.
-
-    For the fourth-order family the equations may still carry theta; they
-    are specialized per requested value in extract_determining.
-    """
-    if name == "ma":
-        sys = build_monge_ampere(n)
-    elif name == "am":
-        sys = build_affine_maximal(n, None)
-    else:
-        raise ValueError(name)
-    return _extract_raw(sys)
 
 
 def extract_determining(sys: PdeSystem) -> DeterminingSystem:
@@ -374,19 +326,31 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     variable is eliminated by the exact solution of F = 0 (denominators
     cleared by a power of its coefficient), and the coefficient of every
     monomial in the remaining jet variables becomes one linear equation.
+
+    F is first multiplied by the lcm L of its coefficient denominators, so
+    every product stays in `int`.  That leaves the output unchanged: F ->
+    L*F scales the residual, the coefficient of the top variable and the
+    rest by L, so the cleared polynomial and every equation become L^(m+1)
+    times their old values, and the system is homogeneous and each equation
+    is scaled to leading coefficient 1.
     """
-    if sys.name in ("ma", "am"):
-        unknowns, eqs = _master_determining(sys.name, sys.n)
-        if sys.name == "am":
-            if sys.theta is None:
-                raise ValueError("pin theta to a rational before extracting")
-            tval = Poly.const(sys.theta)
-            unknowns, eqs = _linear_system(eq.subs(THETA, tval) for eq in eqs)
-        return DeterminingSystem(unknowns, eqs)
     if sys.theta_symbolic:
         raise ValueError("pin theta to a rational before extracting")
-    unknowns, eqs = _extract_raw(sys)
-    return DeterminingSystem(unknowns, eqs)
+    F = sys.F * math.lcm(*(c.denominator for c in sys.F.terms.values()))
+    # PdeSystem guarantees that F is affine-linear in its top variable
+    R = apply_prolonged(SymbolicVectorField(sys.n), F, sys.order)
+    A = F.diff(sys.top_var)
+    B = F - A * Poly.variable(sys.top_var)
+    powers = R.coefficient_powers(sys.top_var)
+    m = max(powers)
+    cleared = Poly.zero()
+    for r, c_r in powers.items():
+        cleared = cleared + c_r * (-B) ** r * A ** (m - r)
+
+    groups = cleared.collect(lambda a: not _is_func_atom(a))
+    order = tuple_order(a for a in cleared.atoms() if not _is_func_atom(a))
+    return DeterminingSystem(*_linear_system(
+        groups[k] for k in sorted(groups, key=order)))
 
 
 def determining_residuals(ds: DeterminingSystem, v: VectorField) -> list[Poly]:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liejet.algebra import (
@@ -18,6 +18,7 @@ from liejet.algebra import (
     divide_exact,
     func_partial,
     jet,
+    lex_order,
     mono_pairs,
     nullspace,
     poly_str,
@@ -168,6 +169,11 @@ class TestPackedExponents:
                                for mono in monos)]
         key = tuple_order(ATOM_POOL)
         assert sorted(packed, key=key) == sorted(packed, key=mono_pairs)
+        # lex: exponent vectors over the sorted atoms
+        atoms = sorted(ATOM_POOL)
+        exponents = lambda m: tuple(dict(mono_pairs(m)).get(a, 0) for a in atoms)
+        assert sorted(packed, key=lex_order(ATOM_POOL)) == \
+            sorted(packed, key=exponents)
 
     def test_decode_sorts_by_atom(self):
         late = func_partial(2, (1, 1), 1)
@@ -388,6 +394,36 @@ class TestNullspace:
     def test_solve_exact_solution(self):
         x = solve_exact([[2, 0], [0, 4]], [1, 1])
         assert x == [Fraction(1, 2), Fraction(1, 4)]
+
+    def test_solve_exact_ragged(self):
+        with pytest.raises(ValueError):
+            solve_exact([[1, 2], [3]], [1, 2])
+        with pytest.raises(ValueError):
+            solve_exact([[1, 2], [3, 4]], [1])
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=150)
+    def test_solve_exact_matches_dense_reference(self, matrix, data):
+        rows, ncols = matrix
+        assume(rows)  # without rows, solve_exact cannot know ncols
+        if data.draw(st.booleans()):  # b in the column space
+            y = data.draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+            rhs = [sum(Fraction(a) * v for a, v in zip(r, y)) for r in rows]
+        else:
+            rhs = data.draw(st.lists(rationals, min_size=len(rows),
+                                     max_size=len(rows)))
+        x = solve_exact(rows, rhs)
+        # b is in the column space iff the column of -b is free in [A | -b];
+        # that free column's basis vector is (x, 1) with x's free columns 0
+        free, basis = dense_nullspace(
+            [[*r, -b] for r, b in zip(rows, rhs)], ncols + 1)
+        if ncols not in free:
+            assert x is None
+            return
+        assert x == basis[free.index(ncols)][:ncols]
+        assert all(x[c] == 0 for c in free if c < ncols)
+        for r, b in zip(rows, rhs):
+            assert sum(Fraction(a) * v for a, v in zip(r, x)) == b
 
 
 class TestDivideExact:

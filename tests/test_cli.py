@@ -165,6 +165,20 @@ class TestOrbit:
         assert json.loads(out)["error"]["type"] == "ZeroDivisionError"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc", [[1, 2], {"Q": 5}, {"Q": [[1, 0], [0]]},
+                                     {"Q": [[1, 0], [0, 1]], "P": [0]},
+                                     {"Q": [[1, 0], [0, 1]], "c": None}])
+    def test_malformed_element_is_an_error_report(self, capsys, tmp_path, doc):
+        g = tmp_path / "bad.json"
+        g.write_text(json.dumps(doc))
+        code = main(["--n", "2", "--theta", "3/4", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(g),
+                     "--solution", "quadratic:identity"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
+        assert "Traceback" not in err
+
     def test_am1d_transport(self, capsys, tmp_path):
         g = tmp_path / "g1.json"
         g.write_text(json.dumps({"Q": [["2"]], "c": "3", "D": ["1/3"]}))

@@ -41,6 +41,8 @@ CASES = {
     "classify-am-t3_4": (
         0, ["--n", "2", "--theta", "3/4", "classify", "--eq", "am"], {}),
     "determining-ma": (0, ["--n", "2", "determining", "--eq", "ma"], {}),
+    "determining-am-t1_2": (
+        0, ["--n", "2", "--theta", "1/2", "determining", "--eq", "am"], {}),
     "determining-am-t3_4": (
         0, ["--n", "2", "--theta", "3/4", "determining", "--eq", "am"], {}),
     "classify-ma-n3-d3": (

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,15 @@ class TestDetermining:
     def test_am_special_accepts_graph_shear(self, am2_special):
         ds = extract_determining(am2_special)
         assert satisfies_determining(ds, vf(2, [u, ZERO]))
+
+    def test_scaling_F_keeps_the_system(self, am2_special):
+        ds = extract_determining(am2_special)
+        scaled = dataclasses.replace(am2_special,
+                                     F=am2_special.F * Fraction(7, 3))
+        ds7 = extract_determining(scaled)
+        assert ds7.unknowns == ds.unknowns
+        assert [eq.terms for eq in ds7.equations] == \
+            [eq.terms for eq in ds.equations]
 
     def test_symbolic_theta_needs_pin(self):
         with pytest.raises(ValueError):
