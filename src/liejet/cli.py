@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -352,6 +353,8 @@ def _element_numbers(value, name: str, n: int) -> list[Fraction]:
 
 
 def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:
+    if args.points < 1:
+        raise ValueError("points must be >= 1")
     sys_ = _build_system(config, args.eq, None)
     if sys_.theta_symbolic:
         raise ValueError("orbit residuals need --theta p/q")
@@ -392,9 +395,8 @@ def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:
 
 def _orbit_points(s: SolutionSample, count: int) -> list[list[Fraction]]:
     # deterministic points inside the domain hint
-    import math as _math
     n = s.n
-    radius = s.radius if _math.isfinite(s.radius) else 1.0
+    radius = s.radius if math.isfinite(s.radius) else 1.0
     scale = Fraction(radius).limit_denominator(1000) / 3
     out = []
     for k in range(count):

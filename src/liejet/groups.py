@@ -659,10 +659,30 @@ def _fd_tableau(fn, x: list[float], groups: list[tuple[int, int]], p: int,
 def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int,
                   h0: float | None = None) -> dict[Atom, float]:
     """All jet coordinates of a callable sample at a point, by finite
-    differences; includes the base coordinates and the function value."""
+    differences; includes the base coordinates and the function value.
+
+    Stencils of different multi-indices share most of their points
+    (x + k h e_a + l h e_b on one h ladder), so the sample is evaluated
+    once per distinct point, through a memo keyed by the exact float
+    coordinates and dropped when this call returns.  No value changes: a
+    sample is a pure function of its point (the local action restarts
+    Newton from the same center on every call), and `_fd_apply` builds a
+    point with the same float operations whichever derivative asks for it.
+    Keys compare by value, so -0.0 would share the entry of 0.0; points
+    with rational coordinates and their stencil points never hold -0.0.
+    """
     n = s.n
     env: dict[Atom, float] = {coord(i + 1): float(x[i]) for i in range(n)}
-    env[DEP] = s(x)
+    memo: dict[tuple[float, ...], float] = {}
+
+    def sample(y: Sequence[float]) -> float:
+        key = tuple(y)
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = s(y)
+        return val
+
+    env[DEP] = sample(x)
     if h0 is None:
         h0 = 0.32
         if math.isfinite(s.radius):
@@ -672,7 +692,7 @@ def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int,
             h0 = min(0.32, room / 6.5)
     for r in range(1, order + 1):
         for J in multi_indices(n, r):
-            val, _err = fd_derivative(s, x, J, h0=h0)
+            val, _err = fd_derivative(sample, x, J, h0=h0)
             env[jet(*J)] = val
     return env
 

@@ -239,6 +239,23 @@ def test_criterion_8_finite_action_transport():
     _report(8, "finite action transport", ok)
 
 
+@pytest.mark.parametrize("theta, special", [(Fraction(4, 5), True),
+                                             (Fraction(1), False)])
+def test_criterion_8_graph_shear_transport_n3(theta, special):
+    """At N=3 the graph shear x1 -> x1 + u/10 maps a quadratic solution to a
+    local solution at theta = (N+1)/(N+2) = 4/5 only: its finite-difference
+    residual is below 1e-6 there and far above it at theta = 1."""
+    s = solution_family("quadratic", {"M": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]})
+    shear = make_am_element([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            [Fraction(1, 10), 0, 0], [0, 0, 0], 1, [0, 0, 0],
+                            0, regime="am-special")
+    moved = act(shear, s)
+    [val] = residual(moved, build_affine_maximal(3, theta),
+                     [[1 / 18, -1 / 12, 1 / 9]])
+    ok = abs(val) < 1e-6 if special else abs(val) > 1
+    _report(8, f"graph shear transport at N=3, theta={theta}", ok)
+
+
 def test_criterion_9_negative_controls():
     """A u^2 d/du perturbation of a classified generator fails both
     equations; u = x^4 fails the N=1 fourth-order residual test."""

@@ -189,6 +189,25 @@ class TestOrbit:
         assert code == 0
         assert rep["results"][0]["passed"]
 
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    @pytest.mark.parametrize("n, element, solution", [
+        ("2", {"Q": [["2", "0"], ["0", "1/2"]]}, "quadratic:identity"),
+        ("1", {"Q": [["2"]], "c": "3"}, "am1d:theta=1/2,a=1,b=1")])
+    def test_points_below_one_is_an_error_report(self, capsys, tmp_path,
+                                                  points, n, element,
+                                                  solution):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(element))
+        code = main(["--n", n, "--theta", "1/2", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(g),
+                     "--solution", solution, "--points", points])
+        out, err = capsys.readouterr()
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"]["type"] == "ValueError"
+        assert rep["error"]["message"] == "points must be >= 1"
+        assert "Traceback" not in err
+
 
 class TestSample:
     def test_points_and_determinism(self, capsys):

@@ -22,6 +22,13 @@ PROLONG_FIELD = "xi1 = x1*u; xi2 = x2^2; phi = u^2 + x1"
 ELEMENT = json.dumps({"Q": [["2", "0"], ["0", "1/2"]], "P": ["0", "0"],
                       "D": ["1", "0"], "c": "3", "R": ["1/2", "0"], "d": "1"})
 DET_MINUS_ONE_X1 = "(u[1,1]*u[2,2] - u[1,2]^2 - 1)*x1"
+# the local graph shear x1 -> x1 + u/10 (finite-difference residuals)
+SHEAR = json.dumps({"Q": [["1", "0"], ["0", "1"]], "P": ["1/10", "0"],
+                    "D": ["0", "0"], "c": "1", "R": ["0", "0"], "d": "0",
+                    "regime": "am-special"})
+# a P = 0 element moving the N=1 closed-form family
+MOVE_1D = json.dumps({"Q": [["2"]], "P": ["0"], "D": ["1/3"], "c": "3",
+                      "R": ["1/5"], "d": "2"})
 
 # name -> (exit code, liejet arguments, files written into the working dir)
 CASES = {
@@ -57,6 +64,14 @@ CASES = {
         0, ["--n", "2", "--theta", "3/4", "orbit", "--eq", "am",
             "--element", "g.json", "--solution", "quadratic:diag=2,1/3",
             "--points", "3"], {"g.json": ELEMENT}),
+    "orbit-shear-t3_4": (
+        0, ["--n", "2", "--theta", "3/4", "orbit", "--eq", "am",
+            "--element", "g.json", "--solution", "quadratic:diag=1,2",
+            "--points", "3"], {"g.json": SHEAR}),
+    "orbit-am1d-t1_2": (
+        0, ["--n", "1", "--theta", "1/2", "orbit", "--eq", "am",
+            "--element", "g.json", "--solution", "am1d:theta=1/2,a=1,b=1",
+            "--points", "5"], {"g.json": MOVE_1D}),
 }
 
 

@@ -11,6 +11,7 @@ from liejet.groups import (
     NotAffineError,
     PNotAllowedError,
     SingularError,
+    SolutionSample,
     act,
     compose,
     exponentiate,
@@ -24,7 +25,7 @@ from liejet.groups import (
     residual_polynomial,
     solution_family,
 )
-from liejet.jets import VectorField
+from liejet.jets import VectorField, multi_indices
 
 x1 = Poly.variable(coord(1))
 u = Poly.variable(DEP)
@@ -245,6 +246,24 @@ class TestFiniteDifferences:
         assert abs(env[jet(1, 1)] - 2 * (-0.2)) < 1e-10
         assert abs(env[jet(1, 1, 2)] - 2.0) < 1e-9
         assert abs(env[jet(2, 2)]) < 1e-10
+
+    def test_jet_values_evaluate_each_point_once(self):
+        calls = []
+
+        def fn(y):
+            calls.append(tuple(y))
+            return math.exp(0.3 * y[0]) * math.cos(y[1]) + y[0] ** 3 * y[1]
+
+        s = SolutionSample(n=2, kind="callable", fn=fn, center=(0.0, 0.0))
+        x = [0.1, -0.2]
+        env = fd_jet_values(s, x, 4)
+        assert len(calls) == len(set(calls))
+        # the memo changes no value: each entry equals the derivative taken
+        # on the raw callable with the same h ladder
+        assert env[DEP] == fn(x)
+        for r in range(1, 5):
+            for J in multi_indices(2, r):
+                assert env[jet(*J)] == fd_derivative(fn, x, J, 0.32)[0]
 
     def test_log_fourth_derivative(self):
         fn = lambda x: math.log(1 + x[0])
