@@ -40,6 +40,7 @@ from .groups import (
     residual,
     residual_polynomial,
     solution_family,
+    transport_local,
 )
 from .jets import KIND_JET, prolong_explicit, prolong_recursive
 from .symmetry import (
@@ -360,37 +361,60 @@ def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:
         raise ValueError("orbit residuals need --theta p/q")
     g = _load_element(args.element, config.n)
     s = _parse_solution_spec(args.solution, config.n)
-    transformed = act(g, s)
-    pts = _orbit_points(transformed, args.points)
-    if transformed.kind == "polynomial":
-        rp = residual_polynomial(transformed, sys_)
-        values = residual(transformed, sys_, pts)
-        passed = rp.is_zero
-        result = {
-            "kind": "polynomial",
-            "residual_polynomial_zero": rp.is_zero,
-            "points": [[str(Fraction(c)) for c in p] for p in pts],
-            "residuals": [_rat(v) for v in values],
-            "passed": passed,
-        }
+    if g.local and s.kind == "polynomial":
+        result = _exact_local_orbit(g, s, sys_, args.points)
     else:
-        values = residual(transformed, sys_, pts)
-        tol = 1e-6 if transformed.locally_defined else 1e-8
-        passed = max(abs(v) for v in values) < tol
-        result = {
-            "kind": "callable",
-            "local": transformed.locally_defined,
-            "tolerance": tol,
-            "points": [[float(c) for c in p] for p in pts],
-            "residuals": [float(v) for v in values],
-            "passed": bool(passed),
-        }
+        result = _transformed_orbit(act(g, s), sys_, args.points)
+    passed = result["passed"]
     if _text(config):
         print(f"transformed solution kind: {result['kind']}")
         for p, v in zip(result["points"], result["residuals"]):
             print(f"  residual{tuple(p)} = {v}")
         print("PASS" if passed else "FAIL")
     return em.emit([result], 0 if passed else 1)
+
+
+def _exact_local_orbit(g: GroupElement, s: SolutionSample, sys_: PdeSystem,
+                       count: int) -> dict:
+    # exact: the images of rational source points, and the cleared residual
+    # polynomial as the certificate
+    tr = transport_local(g, s, sys_)
+    sources = _orbit_points(s, count)
+    points, values = zip(*(tr.at(x0) for x0 in sources))
+    return {
+        "kind": "polynomial",
+        "local": True,
+        "residual_polynomial_zero": tr.cleared.is_zero,
+        "delta_power": tr.power,
+        "source_points": [[str(c) for c in p] for p in sources],
+        "points": [[str(c) for c in p] for p in points],
+        "residuals": [_rat(v) for v in values],
+        "passed": tr.cleared.is_zero,
+    }
+
+
+def _transformed_orbit(transformed: SolutionSample, sys_: PdeSystem,
+                       count: int) -> dict:
+    pts = _orbit_points(transformed, count)
+    values = residual(transformed, sys_, pts)
+    if transformed.kind == "polynomial":
+        rp = residual_polynomial(transformed, sys_)
+        return {
+            "kind": "polynomial",
+            "residual_polynomial_zero": rp.is_zero,
+            "points": [[str(Fraction(c)) for c in p] for p in pts],
+            "residuals": [_rat(v) for v in values],
+            "passed": rp.is_zero,
+        }
+    tol = 1e-6 if transformed.locally_defined else 1e-8
+    return {
+        "kind": "callable",
+        "local": transformed.locally_defined,
+        "tolerance": tol,
+        "points": [[float(c) for c in p] for p in pts],
+        "residuals": [float(v) for v in values],
+        "passed": bool(max(abs(v) for v in values) < tol),
+    }
 
 
 def _orbit_points(s: SolutionSample, count: int) -> list[list[Fraction]]:
@@ -511,10 +535,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     em = _Emitter(args.command, config)
     try:
-        return args.func(args, config, em)
-    except (ValueError, OSError, KeyError, RuntimeError,
-            ZeroDivisionError) as exc:
-        return em.error(exc)
+        try:
+            code = args.func(args, config, em)
+        except BrokenPipeError:
+            raise
+        except (ValueError, OSError, KeyError, RuntimeError,
+                ZeroDivisionError) as exc:
+            code = em.error(exc)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the flush at
+        # interpreter exit cannot fail again, and report failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     Atom,
@@ -65,6 +66,12 @@ class PdeSystem:
     @property
     def theta_symbolic(self) -> bool:
         return THETA in self.F.atoms()
+
+    @cached_property
+    def top_split(self) -> tuple[Poly, Poly]:
+        """(A, B) with F = A * top_var + B; neither holds top_var."""
+        parts = self.F.coefficient_powers(self.top_var)
+        return parts.get(1, Poly.zero()), parts.get(0, Poly.zero())
 
 
 @dataclass(frozen=True)
@@ -188,13 +195,11 @@ def solve_top_value(sys: PdeSystem, env: dict[Atom, Fraction]) -> Fraction | Non
 
     Returns None when the top variable's coefficient vanishes at the point.
     """
-    A = sys.F.diff(sys.top_var).evaluate(env)
+    a, b = sys.top_split
+    A = a.evaluate(env)
     if A == 0:
         return None
-    env0 = dict(env)
-    env0[sys.top_var] = Fraction(0)
-    B = sys.F.evaluate(env0)
-    return -B / A
+    return -b.evaluate(env) / A
 
 
 def _spd_hessian(rng: random.Random, n: int) -> list[list[Fraction]]:

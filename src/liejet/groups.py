@@ -3,10 +3,14 @@
 A group element is the affine map (x, u) -> (Q x + P u + R, D.x + c u + d)
 of graph space.  For P = 0 the action on functions is global and exact:
 polynomial solutions map to polynomial solutions and residuals are computed
-symbolically.  For P != 0 the action is only local; the transformed function
-is realised as a callable that inverts the point map numerically, and
-residuals fall back to high-order finite differences with Richardson
-extrapolation.
+symbolically.  For P != 0 the action is only local.  On a polynomial
+solution it is still exact: `transport_local` writes the transported jets
+over the source point with the powers of the Jacobian determinant cleared,
+so the residual is one polynomial.  Callable solutions (closed forms) are
+the only ones left to the float path: `act` realises the transformed
+function as a callable (inverting a local point map by Newton iteration),
+and `residual` estimates its jets by high-order finite differences with
+Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Sequence
 from .algebra import (
     Atom,
     DEP,
+    KIND_COORD,
     KIND_JET,
     Poly,
     coord,
@@ -27,6 +32,8 @@ from .algebra import (
     point_partial,
     rat_det,
     solve_exact,
+    sym_adjugate,
+    sym_det,
 )
 from .equations import PdeSystem, leading_minors_positive
 from .jets import VectorField, multi_indices
@@ -302,7 +309,8 @@ def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
     exact polynomial output for polynomial input.  P != 0: the point map
     x -> Q x + P u(x) + R is inverted by Newton iteration near the domain
     center (to machine precision, 1e-12 at worst) and the result is a
-    local callable.
+    local callable.  For a polynomial solution and P != 0, `transport_local`
+    gives the exact residual instead.
     """
     if g.n != s.n:
         raise ValueError("dimension mismatch")
@@ -530,7 +538,9 @@ def residual(s: SolutionSample, sys: PdeSystem, points: Sequence[Sequence]) -> l
 
     Polynomial samples: exact rational values of the symbolic residual.
     Callable samples: all jet values are estimated by central finite
-    differences with Richardson extrapolation and substituted into F.
+    differences with Richardson extrapolation and substituted into F.  A
+    polynomial solution moved by a local element is not a callable here:
+    `transport_local` gives its residual exactly.
     """
     _require_pinned(sys)
     if s.kind == "polynomial":
@@ -546,6 +556,110 @@ def residual(s: SolutionSample, sys: PdeSystem, points: Sequence[Sequence]) -> l
         env = fd_jet_values(s, x, sys.order)
         out.append(sys.F.evaluate_float(env))
     return out
+
+
+# -- exact transport by a local element ----------------------------------------------
+
+@dataclass(frozen=True)
+class LocalTransport:
+    """A polynomial solution transported by a local element, parametrized
+    by the source point x.
+
+    The point map is x~ = `image`(x) = Q x + P u(x) + R, `delta` is
+    det(dx~/dx), and `cleared` = F(transported jets) * delta^`power` is a
+    polynomial in x.  Zero is a certificate that the transported function
+    solves F = 0 wherever delta != 0.
+    """
+
+    image: tuple[Poly, ...]
+    delta: Poly
+    power: int
+    cleared: Poly
+
+    def at(self, x0: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+        """The image point x~(x0) and the exact residual of the transported
+        function there, cleared(x0) / delta(x0)^power."""
+        env = {coord(i + 1): Fraction(v) for i, v in enumerate(x0)}
+        delta = self.delta.evaluate(env)
+        if delta == 0:
+            raise NotInvertibleHereError(
+                "point map is degenerate at source point ("
+                + ", ".join(str(Fraction(v)) for v in x0) + ")")
+        point = [p.evaluate(env) for p in self.image]
+        return point, self.cleared.evaluate(env) / delta ** self.power
+
+
+def transport_local(g: GroupElement, s: SolutionSample,
+                    sys: PdeSystem) -> LocalTransport:
+    """Exact residual of a polynomial solution moved by a (local) element.
+
+    With J = dx~/dx and delta = det J, the total derivative in x~ is
+    D~_i = delta^-1 sum_j adj(J)_ji d_j (the prolonged group action, Olver,
+    GTM 107, 2.3), so a transported jet of order k is N_k / delta^(2k-1)
+    with a polynomial numerator:
+        N_i = sum_j adj(J)_ji d_j u~,
+        N_(J,i) = delta L_i(N_J) - (2k-1) N_J L_i(delta),  L_i = sum_j adj(J)_ji d_j.
+    F's monomials are grouped by their deficit K - weight, where a jet of
+    order k weighs 2k-1 and K is the largest weight, so each power of
+    delta is multiplied once.  Exact throughout.
+    """
+    if s.kind != "polynomial":
+        raise ValueError("exact transport needs a polynomial sample")
+    if g.n != s.n:
+        raise ValueError("dimension mismatch")
+    _require_pinned(sys)
+    n = g.n
+    xs = [Poly.variable(coord(i + 1)) for i in range(n)]
+    u = s.poly
+    image = tuple(sum((g.q[i][j] * xs[j] for j in range(n)), Poly.const(g.r[i]))
+                  + g.p[i] * u for i in range(n))
+    moved = sum((g.dvec[i] * xs[i] for i in range(n)), Poly.const(g.d)) + g.c * u
+    grad = s._partials
+    jac = [[g.p[i] * grad[j] + g.q[i][j] for j in range(n)] for i in range(n)]
+    delta = sym_det(jac)
+    center = {coord(i + 1): Fraction(v) for i, v in enumerate(s.center)}
+    if delta.evaluate(center) == 0:
+        raise NotInvertibleHereError("point map is degenerate at the center")
+    adj = sym_adjugate(jac)
+
+    def along(i: int, f: Poly) -> Poly:
+        # delta * D~_i f; i is 0-based
+        return sum((adj[j][i] * f.diff(coord(j + 1)) for j in range(n)),
+                   Poly.zero())
+
+    ldelta = [along(i, delta) for i in range(n)]
+    numerators: dict[tuple[int, ...], Poly] = {}
+
+    def numerator(J: tuple[int, ...]) -> Poly:
+        got = numerators.get(J)
+        if got is None:
+            head, i = J[:-1], J[-1] - 1
+            if not head:
+                got = along(i, moved)
+            else:
+                parent = numerator(head)
+                got = (delta * along(i, parent)
+                       - (2 * len(head) - 1) * parent * ldelta[i])
+            numerators[J] = got
+        return got
+
+    mapping: dict[Atom, Poly] = {DEP: moved}
+    for a in sys.F.atoms():
+        if a[0] == KIND_JET:
+            mapping[a] = numerator(a[1])
+        elif a[0] == KIND_COORD:
+            mapping[a] = image[a[1] - 1]
+    by_weight: dict[int, dict] = {}
+    for (m, c), (pairs, _) in zip(sys.F.terms.items(), sys.F.term_pairs()):
+        w = sum(e * (2 * len(a[1]) - 1) for a, e in pairs if a[0] == KIND_JET)
+        by_weight.setdefault(w, {})[m] = c
+    power = max(by_weight, default=0)
+    cleared = Poly.zero()
+    for w, terms in by_weight.items():
+        cleared = cleared + (Poly(terms).substitute_atoms(mapping)
+                             * delta ** (power - w))
+    return LocalTransport(image=image, delta=delta, power=power,
+                          cleared=cleared)
 
 
 # -- finite differences ------------------------------------------------------------

@@ -26,6 +26,7 @@ from liejet.groups import (
     residual,
     residual_polynomial,
     solution_family,
+    transport_local,
 )
 from liejet.jets import (
     SymbolicVectorField,
@@ -254,6 +255,43 @@ def test_criterion_8_graph_shear_transport_n3(theta, special):
                      [[1 / 18, -1 / 12, 1 / 9]])
     ok = abs(val) < 1e-6 if special else abs(val) > 1
     _report(8, f"graph shear transport at N=3, theta={theta}", ok)
+
+
+# the local criterion-8 cases: (N, special theta, element, solution)
+LOCAL_CASES = {
+    "shear-n2": (2, Fraction(3, 4),
+                 make_am_element([[1, 0], [0, 1]], [Fraction(1, 10), 0],
+                                 [0, 0], 1, [0, 0], 0, regime="am-special"),
+                 solution_family("quadratic", {"M": [[1, 0], [0, 2]]})),
+    "rotation-n2": (2, Fraction(3, 4),
+                    make_am_element([[Fraction(63, 65), 0], [0, 1]],
+                                    [Fraction(-16, 65), 0],
+                                    [Fraction(16, 65), 0], Fraction(63, 65),
+                                    [0, 0], 0, regime="am-special"),
+                    solution_family("quadratic", {"M": [[1, 0], [0, 1]]})),
+    "shear-n3": (3, Fraction(4, 5),
+                 make_am_element([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                 [Fraction(1, 10), 0, 0], [0, 0, 0], 1,
+                                 [0, 0, 0], 0, regime="am-special"),
+                 solution_family("quadratic", {"M": [[1, 0, 0], [0, 2, 0],
+                                                     [0, 0, 3]]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCAL_CASES))
+def test_criterion_8_exact_local_transport(case):
+    """Local elements (P != 0) move quadratic solutions exactly: F(jets)
+    cleared by a power of the Jacobian determinant is the zero polynomial
+    in the source point at theta = (N+1)/(N+2), and at theta = 1 it is
+    nonzero with a nonzero exact residual at a rational source point."""
+    n, special, g, s = LOCAL_CASES[case]
+    ok = transport_local(g, s, build_affine_maximal(n, special)).cleared.is_zero
+    generic = transport_local(g, s, build_affine_maximal(n, 1))
+    point, value = generic.at([Fraction(1, 18), Fraction(-1, 12),
+                               Fraction(1, 9)][:n])
+    ok = ok and not generic.cleared.is_zero and value != 0
+    ok = ok and all(isinstance(v, Fraction) for v in [*point, value])
+    _report(8, f"exact local transport ({case})", ok)
 
 
 def test_criterion_9_negative_controls():

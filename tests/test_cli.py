@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from liejet import groups
 from liejet.cli import main
+
+SRC = str(Path(groups.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -207,6 +215,66 @@ class TestOrbit:
         assert rep["error"]["type"] == "ValueError"
         assert rep["error"]["message"] == "points must be >= 1"
         assert "Traceback" not in err
+
+
+    def test_local_element_on_a_polynomial_is_exact(self, capsys, tmp_path,
+                                                    monkeypatch):
+        def no_float_path(*args, **kwargs):
+            raise AssertionError("finite differences reached")
+
+        monkeypatch.setattr(groups, "fd_jet_values", no_float_path)
+        g = tmp_path / "shear.json"
+        g.write_text(json.dumps({"Q": [["1", "0"], ["0", "1"]],
+                                 "P": ["1/10", "0"], "regime": "am-special"}))
+        for theta, want in (("3/4", 0), ("1", 1)):
+            code, rep = run_json(capsys, [
+                "--n", "2", "--theta", theta, "--output", "json", "orbit",
+                "--eq", "am", "--element", str(g),
+                "--solution", "quadratic:diag=1,2", "--points", "2"])
+            res = rep["results"][0]
+            assert code == want
+            assert res["passed"] is res["residual_polynomial_zero"] is (want == 0)
+            for values in (*res["points"], *res["source_points"],
+                           res["residuals"]):
+                assert all(isinstance(v, str) for v in values)
+                [Fraction(v) for v in values]
+            assert (set(res["residuals"]) == {"0"}) is (want == 0)
+
+    @pytest.mark.parametrize("element", [
+        # delta = x1 vanishes at the center
+        {"Q": [["0", "0"], ["0", "1"]], "P": ["1", "0"], "D": ["1", "0"],
+         "c": "0"},
+        # delta = 1 - 9 x1 / 2 vanishes at the first source point (2/9, -1/3)
+        {"Q": [["1", "0"], ["0", "1"]], "P": ["-9/2", "0"]}])
+    def test_degenerate_point_map_is_an_error_report(self, capsys, tmp_path,
+                                                     element):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({**element, "regime": "am-special"}))
+        code = main(["--n", "2", "--theta", "3/4", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(g),
+                     "--solution", "quadratic:identity", "--points", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotInvertibleHereError"
+        assert "Traceback" not in err
+
+
+def test_closed_pipe_is_not_a_traceback(tmp_path):
+    (tmp_path / "v.vf").write_text("xi1 = 1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liejet.cli", "--n", "2", "check",
+             "--eq", "custom", "--expr", "u[1,1]*u[2,2] - u[1,2]^2 - 1",
+             "--field", "v.vf", "--output", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 class TestSample:

@@ -138,6 +138,14 @@ class TestSolveTop:
         # F reduces to -(u1111 + 2 u1122 + u2222) at the identity Hessian
         assert solve_top_value(sys, env) == Fraction(-5)
 
+    @pytest.mark.parametrize("sys", [build_monge_ampere(3),
+                                     build_affine_maximal(2),
+                                     build_affine_maximal(2, Fraction(3, 4))])
+    def test_top_split_recomposes_F(self, sys):
+        a, b = sys.top_split
+        assert sys.top_var not in a.atoms() | b.atoms()
+        assert a * Poly.variable(sys.top_var) + b == sys.F
+
     def test_degenerate_coefficient_returns_none(self):
         sys = build_monge_ampere(2)
         env = {jet(1, 1): Fraction(0), jet(1, 2): Fraction(0)}

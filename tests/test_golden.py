@@ -22,7 +22,7 @@ PROLONG_FIELD = "xi1 = x1*u; xi2 = x2^2; phi = u^2 + x1"
 ELEMENT = json.dumps({"Q": [["2", "0"], ["0", "1/2"]], "P": ["0", "0"],
                       "D": ["1", "0"], "c": "3", "R": ["1/2", "0"], "d": "1"})
 DET_MINUS_ONE_X1 = "(u[1,1]*u[2,2] - u[1,2]^2 - 1)*x1"
-# the local graph shear x1 -> x1 + u/10 (finite-difference residuals)
+# the local graph shear x1 -> x1 + u/10 (exact residuals)
 SHEAR = json.dumps({"Q": [["1", "0"], ["0", "1"]], "P": ["1/10", "0"],
                     "D": ["0", "0"], "c": "1", "R": ["0", "0"], "d": "0",
                     "regime": "am-special"})

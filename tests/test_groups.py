@@ -9,6 +9,7 @@ from liejet.groups import (
     BadParamsError,
     DetNotOneError,
     NotAffineError,
+    NotInvertibleHereError,
     PNotAllowedError,
     SingularError,
     SolutionSample,
@@ -24,6 +25,7 @@ from liejet.groups import (
     residual,
     residual_polynomial,
     solution_family,
+    transport_local,
 )
 from liejet.jets import VectorField, multi_indices
 
@@ -237,6 +239,51 @@ class TestTransportedSolutions:
         assert moved.locally_defined
         vals = residual(moved, am, [[0.0, 0.0], [0.05, 0.02], [-0.04, 0.03]])
         assert max(abs(v) for v in vals) < 1e-6
+
+
+class TestExactLocalTransport:
+    SHEAR = make_am_element(I2, [Fraction(1, 10), 0], [0, 0], 1, [0, 0], 0,
+                            regime="am-special")
+
+    def test_agrees_with_finite_differences(self):
+        # an independent oracle: the Newton + Richardson value at the image
+        s = solution_family("quadratic", {"M": [[1, 0], [0, 2]]})
+        am = build_affine_maximal(2, 1)
+        point, value = transport_local(self.SHEAR, s, am).at(
+            [Fraction(1, 20), Fraction(-1, 30)])
+        [fd] = residual(act(self.SHEAR, s), am, [point])
+        assert value != 0
+        assert abs(fd - float(value)) < 1e-6 * abs(float(value))
+
+    def test_p_zero_agrees_with_the_global_action(self):
+        s = polynomial_sample(2, x1 ** 4 + x1 * Poly.variable(coord(2)) ** 2)
+        g = make_am_element([[2, 1], [0, Fraction(1, 2)]], [0, 0], [1, -1], 3,
+                            [Fraction(1, 3), 2], 5)
+        am = build_affine_maximal(2, Fraction(3, 4))
+        tr = transport_local(g, s, am)
+        x0 = [Fraction(1, 7), Fraction(-2, 9)]
+        point, value = tr.at(x0)
+        assert residual(act(g, s), am, [point]) == [value] != [0]
+
+    def test_degenerate_point_map(self, paraboloid):
+        # delta = x1: singular at the center
+        g = make_am_element([[0, 0], [0, 1]], [1, 0], [1, 0], 0, [0, 0], 0,
+                            regime="am-special")
+        with pytest.raises(NotInvertibleHereError):
+            transport_local(g, paraboloid, build_affine_maximal(2, 1))
+        # delta = 1 - x1/2: singular at the source point x1 = 2
+        g = make_am_element(I2, [Fraction(-1, 2), 0], [0, 0], 1, [0, 0], 0,
+                            regime="am-special")
+        tr = transport_local(g, paraboloid, build_affine_maximal(2, 1))
+        with pytest.raises(NotInvertibleHereError):
+            tr.at([2, 0])
+
+    def test_needs_a_polynomial_sample(self):
+        fam = solution_family("am1d", {"theta": Fraction(1, 2), "a": 1, "b": 1})
+        g = make_am_element([[2]], [Fraction(1, 10)], [0], 1, [0], 0,
+                            regime="am-special")
+        with pytest.raises(ValueError):
+            transport_local(g, fam, build_affine_maximal(1, Fraction(1, 2)))
 
 
 class TestFiniteDifferences:
