@@ -78,6 +78,7 @@ from .groups import (
     residual,
     residual_polynomial,
     solution_family,
+    transport_local,
 )
 from .dsl import (
     DivisionNotSupportedError,

@@ -195,11 +195,11 @@ def solve_top_value(sys: PdeSystem, env: dict[Atom, Fraction]) -> Fraction | Non
 
     Returns None when the top variable's coefficient vanishes at the point.
     """
-    a, b = sys.top_split
-    A = a.evaluate(env)
+    coeff, rest = sys.top_split
+    A = coeff.evaluate(env)
     if A == 0:
         return None
-    return -b.evaluate(env) / A
+    return -rest.evaluate(env) / A
 
 
 def _spd_hessian(rng: random.Random, n: int) -> list[list[Fraction]]:

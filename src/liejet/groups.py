@@ -596,10 +596,9 @@ def transport_local(g: GroupElement, s: SolutionSample,
     With J = dx~/dx and delta = det J, the total derivative in x~ is
     D~_i = delta^-1 sum_j adj(J)_ji d_j (the prolonged group action, Olver,
     GTM 107, 2.3), so a transported jet of order k is N_k / delta^(2k-1)
-    with a polynomial numerator:
-        N_i = sum_j adj(J)_ji d_j u~,
-        N_(J,i) = delta L_i(N_J) - (2k-1) N_J L_i(delta),  L_i = sum_j adj(J)_ji d_j.
-    F's monomials are grouped by their deficit K - weight, where a jet of
+    with a polynomial numerator.  With L_i = sum_j adj(J)_ji d_j,
+        N_i = L_i(u~),  N_(J,i) = delta L_i(N_J) - (2k-1) N_J L_i(delta)
+    for J of order k.  F's monomials are grouped by their deficit K - weight, where a jet of
     order k weighs 2k-1 and K is the largest weight, so each power of
     delta is multiplied once.  Exact throughout.
     """
