@@ -2,9 +2,14 @@
 
 Coefficients are `int` when integral and `fractions.Fraction` otherwise;
 every operation is exact, a float coefficient is refused, and identity
-checks reduce to dictionary comparison.  Atoms (the variables of the ring)
-are plain tuples with a small integer kind tag, so they hash fast and sort
-with the native tuple order:
+checks reduce to dictionary comparison.  `Poly.evaluate` and
+`jets.apply_prolonged` keep an integer interior, the fraction-free idea of
+Bareiss: they clear denominators once per call (`denominator_lcm`), work
+in `int` and divide once at the end.  The scale is a nonzero integer,
+undone exactly, so values and terms are those of `Fraction` arithmetic.
+
+Atoms (the variables of the ring) are plain tuples with a small integer
+kind tag, so they hash fast and sort with the native tuple order:
 
     (KIND_COORD, i)             x^i, an independent variable, i >= 1
     (KIND_DEP,)                 u, the dependent variable
@@ -60,7 +65,7 @@ EXP_BITS = 8  # one byte per field, which `tuple_order` relies on
 EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 
 
-class MissingAtomError(Exception):
+class MissingAtomError(ValueError):
     """An atom required by an evaluation has no assigned value."""
 
 
@@ -438,28 +443,41 @@ class Poly:
                     out.pop(mm, None)
         return Poly(out)
 
-    def evaluate(self, env: Mapping[Atom, Fraction]) -> Fraction:
+    def evaluate(self, env: Mapping[Atom, int | Fraction]) -> Fraction:
         """Exact value under a full atom assignment.
 
-        Raises MissingAtomError if some atom of the polynomial is unassigned;
-        evaluation is a ring homomorphism.
+        The sum runs in integers: with the atom values over one common
+        denominator D, x_a = n_a / D, and L the lcm of the coefficient
+        denominators, a term c * prod x_a^e of degree d is the integer
+        (L c) * prod n_a^e * D^(dmax - d) over L D^dmax.  One division of
+        the integer sum by L D^dmax gives the term-by-term rational sum.
+
+        Raises MissingAtomError if some atom of the polynomial is unassigned
+        and TypeError for a float value; evaluation is a ring homomorphism.
         """
-        total = Fraction(0)
-        powcache: dict[tuple[Atom, int], Fraction] = {}
+        values: dict[Atom, int | Fraction] = {}
+        for a in self.atoms():
+            try:
+                q = values[a] = env[a]
+            except KeyError:
+                raise MissingAtomError(atom_str(a)) from None
+            if isinstance(q, float):
+                raise TypeError(f"exact evaluation needs rational values, "
+                                f"got float {q!r} for {atom_str(a)}")
+        D = lcm(*(q.denominator for q in values.values()))
+        num = {a: q.numerator * D // q.denominator for a, q in values.items()}
+        L = denominator_lcm(self)
+        by_degree: dict[int, int] = {}
         for m, c in self.term_pairs():
-            v = c
+            v = c if L == 1 else c.numerator * (L // c.denominator)
+            d = 0
             for a, e in m:
-                p = powcache.get((a, e))
-                if p is None:
-                    try:
-                        base = env[a]
-                    except KeyError:
-                        raise MissingAtomError(atom_str(a)) from None
-                    p = base ** e
-                    powcache[(a, e)] = p
-                v = p * v  # a Fraction on the left takes the fast path
-            total += v
-        return total
+                v *= num[a] ** e
+                d += e
+            by_degree[d] = by_degree.get(d, 0) + v
+        dmax = max(by_degree, default=0)
+        total = sum(v * D ** (dmax - d) for d, v in by_degree.items())
+        return Fraction(total, L * D ** dmax)
 
     def evaluate_float(self, env: Mapping[Atom, float]) -> float:
         total = 0.0
@@ -524,6 +542,13 @@ def exact_quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _canon(Fraction(a) / b)
+
+
+def denominator_lcm(*polys: Poly) -> int:
+    """The lcm of the coefficient denominators of the polynomials: the least
+    positive integer that makes every coefficient integral."""
+    return lcm(*(c.denominator for p in polys for c in p.terms.values()
+                 if type(c) is not int))
 
 
 def _as_poly(value) -> Poly:

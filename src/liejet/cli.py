@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, THETA, atom_str, poly_str
+from .algebra import Poly, THETA, atom_str, coord, poly_str
 from .dsl import (
     format_vector_field,
     parse_expression,
@@ -396,16 +396,19 @@ def _exact_local_orbit(g: GroupElement, s: SolutionSample, sys_: PdeSystem,
 def _transformed_orbit(transformed: SolutionSample, sys_: PdeSystem,
                        count: int) -> dict:
     pts = _orbit_points(transformed, count)
-    values = residual(transformed, sys_, pts)
     if transformed.kind == "polynomial":
+        # the polynomial is the certificate and gives the point values too
         rp = residual_polynomial(transformed, sys_)
+        values = [rp.evaluate({coord(i + 1): c for i, c in enumerate(p)})
+                  for p in pts]
         return {
             "kind": "polynomial",
             "residual_polynomial_zero": rp.is_zero,
-            "points": [[str(Fraction(c)) for c in p] for p in pts],
+            "points": [[str(c) for c in p] for p in pts],
             "residuals": [_rat(v) for v in values],
             "passed": rp.is_zero,
         }
+    values = residual(transformed, sys_, pts)
     tol = 1e-6 if transformed.locally_defined else 1e-8
     return {
         "kind": "callable",

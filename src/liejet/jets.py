@@ -31,6 +31,7 @@ from .algebra import (
     Poly,
     atom_str,
     coord,
+    denominator_lcm,
     func_partial,
     jet,
     mono_pairs,
@@ -431,11 +432,26 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     partial with respect to such an atom already accounts for every ordering
     of the index tuple, so summing coefficient * dF/du_J over sorted J
     reproduces the unrestricted-index summation convention.
+
+    The result is linear in v and in F, so a concrete field is prolonged as
+    lambda*v on L*F, lambda and L the lcms of their coefficient
+    denominators, entirely in `int`, and divided by lambda*L once.  That is
+    the same polynomial, terms in the same order: a sum cancels in the
+    scaled run exactly where it cancels in the rational one.
     """
     max_order = F.max_jet_order()
     if k < max_order:
         raise OrderTooLowError(
             f"prolongation order {k} < equation order {max_order}")
+    if isinstance(v, VectorField):
+        lam, L = denominator_lcm(*v.xi, v.phi), denominator_lcm(F)
+        if lam * L != 1:
+            v = VectorField(v.n, tuple(p * lam for p in v.xi), v.phi * lam)
+            return _apply_prolonged(v, F * L, k) * Fraction(1, lam * L)
+    return _apply_prolonged(v, F, k)
+
+
+def _apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     pf = prolong_recursive(v, k)
     out = _first_order_action(*_base_components(v), F)
     for J, c in pf.coeffs.items():

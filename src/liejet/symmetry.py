@@ -17,7 +17,6 @@ basis of generators closes under the Lie bracket.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .algebra import (
     Monomial,
     Poly,
     coord,
+    denominator_lcm,
     divide_exact,
     exact_quotient,
     integer_primitive,
@@ -336,7 +336,7 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     """
     if sys.theta_symbolic:
         raise ValueError("pin theta to a rational before extracting")
-    F = sys.F * math.lcm(*(c.denominator for c in sys.F.terms.values()))
+    F = sys.F * denominator_lcm(sys.F)
     # PdeSystem guarantees that F is affine-linear in its top variable
     R = apply_prolonged(SymbolicVectorField(sys.n), F, sys.order)
     A = F.diff(sys.top_var)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liejet.algebra import (
@@ -15,6 +15,7 @@ from liejet.algebra import (
     Poly,
     THETA,
     coord,
+    denominator_lcm,
     divide_exact,
     func_partial,
     jet,
@@ -120,6 +121,12 @@ class TestExactCoefficients:
         with pytest.raises(TypeError):
             make()
 
+    def test_denominator_lcm(self):
+        assert denominator_lcm() == 1
+        assert denominator_lcm(MA2, Poly.zero()) == 1
+        assert denominator_lcm(Fraction(1, 4) * x1 + Fraction(5, 6),
+                               Fraction(2, 9) * u) == 36
+
     def test_integral_fraction_stored_as_int(self):
         p = Poly.const(Fraction(6, 3)) + Fraction(1, 2) * x1 * 2
         assert all(type(c) is int for c in p.terms.values())
@@ -217,6 +224,31 @@ class TestDerivativeAndSubstitution:
         assert lhs == rhs
 
 
+def reference_evaluate(p: Poly, env) -> Fraction:
+    """Term-by-term Fraction evaluation, the oracle of the integer one."""
+    total = Fraction(0)
+    for pairs, c in p.term_pairs():
+        v = Fraction(c)
+        for a, e in pairs:
+            v *= Fraction(env[a]) ** e
+        total += v
+    return total
+
+
+# int and Fraction coefficients and values, zero, negative and integral ones
+# among them (Fraction(4, 2) is integral), and exponents up to 6
+exact_numbers = st.one_of(st.integers(min_value=-40, max_value=40), rationals)
+value_polys = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(ATOM_POOL),
+                        st.integers(min_value=1, max_value=6), max_size=3
+                        ).map(lambda d: tuple(d.items())),
+        exact_numbers),
+    min_size=0, max_size=6,
+).map(Poly.from_terms)
+value_envs = st.fixed_dictionaries({a: exact_numbers for a in ATOM_POOL})
+
+
 class TestEvaluate:
     def test_on_variety_point(self):
         env = {jet(1, 1): Fraction(2), jet(2, 2): Fraction(1, 2),
@@ -230,8 +262,23 @@ class TestEvaluate:
         assert (th + 1).evaluate({THETA: Fraction(3, 4)}) == Fraction(7, 4)
 
     def test_missing_atom(self):
-        with pytest.raises(MissingAtomError):
+        assert issubclass(MissingAtomError, ValueError)
+        with pytest.raises(MissingAtomError, match="^x1$"):
             (u11 + x1).evaluate({jet(1, 1): Fraction(1)})
+
+    def test_float_value_refused(self):
+        with pytest.raises(TypeError, match="u\\[1,1\\]"):
+            (u11 + x1).evaluate({jet(1, 1): 0.5, coord(1): Fraction(1)})
+
+    @given(value_polys, value_envs)
+    @example(Poly.zero(), {})
+    @example(Poly.const(Fraction(-3, 7)), {})
+    @example(Poly.const(5), {})
+    @settings(max_examples=150)
+    def test_matches_term_by_term_fractions(self, p, env):
+        got = p.evaluate(env)
+        assert type(got) is Fraction
+        assert got == reference_evaluate(p, env)
 
     @given(polys, polys, envs)
     def test_ring_homomorphism(self, p, q, env):

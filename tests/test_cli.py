@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from liejet import groups
+from liejet import cli, groups
+from liejet.algebra import MissingAtomError
 from liejet.cli import main
 
 SRC = str(Path(groups.__file__).resolve().parents[1])
@@ -162,6 +163,25 @@ class TestOrbit:
         assert rep["results"][0]["passed"]
         assert rep["results"][0]["residual_polynomial_zero"]
 
+    def test_residual_polynomial_built_once(self, capsys, element_file,
+                                            monkeypatch):
+        calls = []
+        inner = groups.residual_polynomial
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(groups, "residual_polynomial", counting)
+        monkeypatch.setattr(cli, "residual_polynomial", counting)
+        code, rep = run_json(capsys, [
+            "--n", "2", "--theta", "3/4", "--output", "json",
+            "orbit", "--eq", "am", "--element", element_file,
+            "--solution", "quadratic:identity", "--points", "3"])
+        assert code == 0
+        assert len(rep["results"][0]["residuals"]) == 3
+        assert len(calls) == 1
+
     def test_zero_denominator_is_an_error_report(self, capsys, tmp_path):
         g = tmp_path / "g0.json"
         g.write_text(json.dumps({"Q": [["1/0", "0"], ["0", "1"]]}))
@@ -278,6 +298,18 @@ def test_closed_pipe_is_not_a_traceback(tmp_path):
 
 
 class TestSample:
+    def test_missing_atom_is_an_error_report(self, capsys, monkeypatch):
+        def missing(*args):
+            raise MissingAtomError("x3")
+
+        monkeypatch.setattr(cli, "sample_on_variety", missing)
+        code = main(["--n", "2", "--output", "json", "sample", "--eq", "ma"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "MissingAtomError",
+                                            "message": "x3"}
+        assert "Traceback" not in err
+
     def test_points_and_determinism(self, capsys):
         argv = ["--n", "2", "--theta", "3/4", "--seed", "99",
                 "--output", "json", "sample", "--eq", "am", "--count", "3"]

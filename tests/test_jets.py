@@ -1,8 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from liejet.algebra import DEP, Poly, THETA, coord, func_partial, jet, poly_str
+from liejet import jets
+from liejet.algebra import (
+    DEP,
+    Poly,
+    THETA,
+    coord,
+    denominator_lcm,
+    func_partial,
+    jet,
+    poly_str,
+)
+from liejet.equations import build_affine_maximal
 from liejet.jets import (
     JetInCoefficientError,
     OrderTooLowError,
@@ -220,6 +232,52 @@ class TestApplyProlonged:
         lhs = apply_prolonged(v, F * G, 2)
         rhs = apply_prolonged(v, F, 2) * G + F * apply_prolonged(v, G, 2)
         assert lhs == rhs
+
+
+def reference_apply(v: VectorField, F: Poly, k: int) -> Poly:
+    """pr v(F) = v(F) + sum_J c_J dF/du_J, unscaled, from the recursive
+    prolongation."""
+    out = v.apply_to(F)
+    for J, c in prolong_recursive(v, k).coeffs.items():
+        if J:
+            out = out + c * F.diff(jet(*J))
+    return out
+
+
+AM2_T4_5 = build_affine_maximal(2, Fraction(4, 5)).F
+
+
+class TestApplyProlongedScaled:
+    """A concrete field with rational coefficients, or an F with rational
+    coefficients, is prolonged in integers and scaled back once."""
+
+    @pytest.mark.parametrize("F, k", [(AM2_T4_5, 4), (MA2, 2),
+                                      (Fraction(2, 3) * MA2, 2)])
+    @pytest.mark.parametrize("integral_field", [False, True])
+    def test_matches_unscaled_reference(self, F, k, integral_field):
+        v = random_vector_field(random.Random(45), 2)
+        lam = denominator_lcm(*v.xi, v.phi)
+        assert lam != 1
+        if integral_field:
+            v = VectorField(2, tuple(p * lam for p in v.xi), v.phi * lam)
+        got = apply_prolonged(v, F, k)
+        want = reference_apply(v, F, k)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is int or c.denominator != 1
+                   for c in got.terms.values())
+
+    def test_entered_once_per_call(self, monkeypatch):
+        calls = []
+        inner = jets.apply_prolonged
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(jets, "apply_prolonged", counting)
+        v = random_vector_field(random.Random(45), 2)
+        jets.apply_prolonged(v, AM2_T4_5, 4)
+        assert len(calls) == 1
 
 
 class TestVectorFieldValidation:
