@@ -746,23 +746,32 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None
 
 
 def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when there is none.
+    """One exact solution of A x = b, or None when there is none: the
+    one-right-hand-side case of `_solve_columns`."""
+    return _solve_columns(rows, [rhs])[0]
 
-    The reduced echelon form of [A | -b] (`_reduced_echelon`) decides it:
-    the system is inconsistent exactly when the last column is a pivot.
-    Otherwise every pivot row reads row[c] * x[c] + row[ncols] = 0 once the
-    free variables are set to 0, which gives the unique solution of the
-    reduced form with free variables 0.
-    """
-    ncols = len(rows[0]) if rows else 0
+
+def _solve_columns(rows: Sequence[Sequence], rhss: Sequence[Sequence]
+                   ) -> list[list[Fraction] | None]:
+    """A x = b for every b in `rhss`, from one reduced echelon form of
+    [A | -b_1 ... -b_T] (`_reduced_echelon`), A of width k.  b_t is outside
+    the column space exactly when a pivot row of the right-hand-side block
+    has a nonzero in column k+t (column k+t need not be a pivot: b_2 = b_1).
+    Otherwise x[c] = -row[k+t]/row[c] on the pivot rows of A, free
+    variables 0: the unique such solution of the reduced form."""
+    k = len(rows[0]) if rows else 0
     pivots = _reduced_echelon(
-        [(*r, -Fraction(b)) for r, b in zip(rows, rhs, strict=True)], ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for c, row in pivots.items():
-        x[c] = Fraction(-row.get(ncols, 0), row[c])
-    return x
+        [(*r, *(-Fraction(b) for b in bs))
+         for r, *bs in zip(rows, *rhss, strict=True)], k + len(rhss))
+    escaping = {j for c, row in pivots.items() if c >= k for j in row}
+    out: list[list[Fraction] | None] = []
+    for col in range(k, k + len(rhss)):
+        x = [Fraction(0)] * k
+        for c, row in pivots.items():
+            if c < k:
+                x[c] = Fraction(-row.get(col, 0), row[c])
+        out.append(None if col in escaping else x)
+    return out
 
 
 def _reduced_echelon(rows: Sequence[Sequence], ncols: int

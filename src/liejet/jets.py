@@ -209,7 +209,12 @@ def circle_sum(pattern: Callable[[tuple[int, ...]], Poly],
     The surviving terms are then re-instantiated at the actual index values,
     so repeated indices contribute with their full multiplicity.
     """
-    m = len(indices)
+    return _relabel(_generic_terms(pattern, len(indices)), indices)
+
+
+def _generic_terms(pattern: Callable[[tuple[int, ...]], Poly], m: int
+                   ) -> dict[Monomial, int | Fraction]:
+    """The distinct terms of `pattern` at the permuted generic indices."""
     gen = _GENERIC[:m]
     seen: dict[Monomial, int | Fraction] = {}
     for perm in itertools.permutations(range(m)):
@@ -220,10 +225,15 @@ def circle_sum(pattern: Callable[[tuple[int, ...]], Poly],
                 seen[mono] = c
             elif prev != c:
                 raise ValueError("pattern is ambiguous under permutation")
-    relabel = dict(zip(gen, indices))
+    return seen
+
+
+def _relabel(terms: dict[Monomial, int | Fraction], indices: Sequence[int]) -> Poly:
+    """Generic terms re-instantiated at the actual index values."""
+    relabel = dict(zip(_GENERIC, indices))
     return Poly.from_terms(
         (((_relabel_atom(a, relabel), e) for a, e in mono_pairs(mono)), c)
-        for mono, c in seen.items())
+        for mono, c in terms.items())
 
 
 def _relabel_atom(a: Atom, relabel: dict[int, int]) -> Atom:
@@ -376,6 +386,13 @@ def _order4_patterns(n: int) -> list[Callable[[tuple[int, ...]], Poly]]:
 
 
 @lru_cache(maxsize=None)
+def _generic_patterns(n: int, order: int) -> tuple[dict, ...]:
+    """Generic terms of each order-3/4 pattern, shared by every multi-index."""
+    patterns = _order3_patterns(n) if order == 3 else _order4_patterns(n)
+    return tuple(_generic_terms(pat, order) for pat in patterns)
+
+
+@lru_cache(maxsize=None)
 def _explicit_symbolic_coeff(n: int, J: tuple[int, ...]) -> Poly:
     order = len(J)
     if order == 1:
@@ -384,8 +401,8 @@ def _explicit_symbolic_coeff(n: int, J: tuple[int, ...]) -> Poly:
         return _explicit_order2(n, J[0], J[1])
     if order in (3, 4):
         out = _phi(J)
-        for pat in (_order3_patterns if order == 3 else _order4_patterns)(n):
-            out = out + circle_sum(pat, J)
+        for terms in _generic_patterns(n, order):
+            out = out + _relabel(terms, J)
         return out
     raise UnsupportedOrderError(f"no closed formula for order {order}")
 

@@ -36,7 +36,7 @@ from .algebra import (
     integer_primitive,
     mono_pairs,
     nullspace,
-    solve_exact,
+    _solve_columns,
     tuple_order,
 )
 from .equations import (
@@ -193,24 +193,32 @@ def _field_vector(v: VectorField, monos: list[Monomial]) -> list[Fraction]:
 
 def span_coefficients(fields, target: VectorField) -> list[Fraction] | None:
     """Exact coordinates of `target` in the span of `fields`, or None."""
-    monos = _span_monomials(list(fields) + [target])
+    return _span_solutions(fields, [target])[0]
+
+
+def _span_solutions(fields, targets) -> list[list[Fraction] | None]:
+    """`span_coefficients` of every target, from one elimination."""
+    monos = _span_monomials([*fields, *targets])
     vecs = [_field_vector(f, monos) for f in fields]
-    tvec = _field_vector(target, monos)
-    rows = [[vec[r] for vec in vecs] for r in range(len(tvec))]
-    return solve_exact(rows, tvec)
+    tvecs = [_field_vector(t, monos) for t in targets]
+    nrows = len(tvecs[0]) if tvecs else 0
+    return _solve_columns([[vec[r] for vec in vecs] for r in range(nrows)],
+                          tvecs)
 
 
 def closure_check(basis: GeneratorBasis) -> ClosureReport:
     """Verify span-closure of all pairwise brackets; collect the exact
-    structure constants.  Raises NotClosedError at the first escape."""
+    structure constants.  Raises NotClosedError at the first escape, in
+    pair order."""
     fields = basis.fields
+    pairs = list(itertools.combinations(range(len(fields)), 2))
+    brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
     constants: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for i, j in itertools.combinations(range(len(fields)), 2):
-        br = lie_bracket(fields[i], fields[j])
-        coeffs = span_coefficients(fields, br)
+    for pair, br, coeffs in zip(pairs, brackets,
+                                _span_solutions(fields, brackets)):
         if coeffs is None:
-            raise NotClosedError((i, j), br)
-        constants[(i, j)] = tuple(coeffs)
+            raise NotClosedError(pair, br)
+        constants[pair] = tuple(coeffs)
     return ClosureReport(closed=True, structure_constants=constants)
 
 
@@ -276,7 +284,8 @@ def affine_maximal_basis(n: int, special: bool = False) -> GeneratorBasis:
 def expected_dimension(name: str, n: int, theta: Fraction | None = None) -> int:
     """Classified algebra dimensions used by the CLI to flag mismatches."""
     if name == "ma":
-        return (n + 1) ** 2
+        # at n = 1, det D^2 u = 1 is u'' = 1, whose algebra is sl(3)
+        return 8 if n == 1 else (n + 1) ** 2
     if name == "am":
         special = theta == Fraction(n + 1, n + 2)
         return n * n + 2 * n + 2 + (n if special else 0)
@@ -296,14 +305,19 @@ def _linear_system(eqs: Iterable[Poly]
 
     The leading term is the largest monomial in the (atom, exponent) tuple
     order; the equations share few distinct monomials, so their decoded
-    forms are memoized for the call.  Copies are recognised by their
-    integer primitive form with a positive leading coefficient, so only the
-    kept equations are scaled."""
+    forms are memoized for the call.  A copy has the support of a kept
+    equation: a single term is a copy once its support was seen, others
+    are compared by their integer primitive form with a positive leading
+    coefficient.  Only the kept equations are scaled."""
     lead_key = cache(mono_pairs)
-    seen: set[frozenset] = set()
+    kept: dict[frozenset, set[frozenset]] = {}  # support -> primitive forms
     equations: list[Poly] = []
     for eq in eqs:
         if eq.is_zero:
+            continue
+        support = frozenset(eq.terms)
+        forms = kept.setdefault(support, set())
+        if forms and len(support) == 1:
             continue
         lead = max(eq.terms, key=lead_key)
         form = integer_primitive(eq.terms)
@@ -311,9 +325,10 @@ def _linear_system(eqs: Iterable[Poly]
             key = frozenset(form.items())
         else:
             key = frozenset((m, -v) for m, v in form.items())
-        if key not in seen:
-            seen.add(key)
-            equations.append(eq * exact_quotient(1, eq.terms[lead]))
+        if key in forms:
+            continue
+        forms.add(key)
+        equations.append(eq * exact_quotient(1, eq.terms[lead]))
     unknowns = sorted({a for eq in equations for a in eq.atoms()
                        if _is_func_atom(a)})
     return tuple(unknowns), tuple(equations)
@@ -478,5 +493,5 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
 
 def mutual_span(fields_a, fields_b) -> bool:
     """Exact two-sided span containment of two lists of fields."""
-    return (all(span_coefficients(fields_a, f) is not None for f in fields_b)
-            and all(span_coefficients(fields_b, f) is not None for f in fields_a))
+    return all(x is not None for x in (*_span_solutions(fields_a, fields_b),
+                                       *_span_solutions(fields_b, fields_a)))

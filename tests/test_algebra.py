@@ -14,6 +14,7 @@ from liejet.algebra import (
     NonSquareError,
     Poly,
     THETA,
+    _solve_columns,
     coord,
     denominator_lcm,
     divide_exact,
@@ -453,24 +454,54 @@ class TestNullspace:
     def test_solve_exact_matches_dense_reference(self, matrix, data):
         rows, ncols = matrix
         assume(rows)  # without rows, solve_exact cannot know ncols
-        if data.draw(st.booleans()):  # b in the column space
-            y = data.draw(st.lists(rationals, min_size=ncols, max_size=ncols))
-            rhs = [sum(Fraction(a) * v for a, v in zip(r, y)) for r in rows]
-        else:
-            rhs = data.draw(st.lists(rationals, min_size=len(rows),
-                                     max_size=len(rows)))
-        x = solve_exact(rows, rhs)
-        # b is in the column space iff the column of -b is free in [A | -b];
-        # that free column's basis vector is (x, 1) with x's free columns 0
-        free, basis = dense_nullspace(
-            [[*r, -b] for r, b in zip(rows, rhs)], ncols + 1)
-        if ncols not in free:
-            assert x is None
-            return
-        assert x == basis[free.index(ncols)][:ncols]
-        assert all(x[c] == 0 for c in free if c < ncols)
-        for r, b in zip(rows, rhs):
-            assert sum(Fraction(a) * v for a, v in zip(r, x)) == b
+        rhs = draw_rhs(data, rows, ncols)
+        assert_solves(rows, ncols, rhs, solve_exact(rows, rhs))
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=150)
+    def test_solve_columns_matches_dense_reference(self, matrix, data):
+        rows, ncols = matrix
+        assume(rows)
+        rhss = [draw_rhs(data, rows, ncols)
+                for _ in range(data.draw(st.integers(min_value=1, max_value=4)))]
+        # a zero right-hand side, and a repeat of an earlier one (which is
+        # often outside the column space)
+        rhss.insert(data.draw(st.integers(0, len(rhss))), [0] * len(rows))
+        rhss.append(list(data.draw(st.sampled_from(rhss))))
+        for rhs, x in zip(rhss, _solve_columns(rows, rhss), strict=True):
+            assert_solves(rows, ncols, rhs, x)
+
+    def test_solve_columns_repeated_inconsistent(self):
+        # b_2 = b_1 outside the column space: column k+2 of [A | -b_1 -b_2]
+        # is not a pivot, and b_2 is still inconsistent
+        rows = [[1, 0], [0, 0], [2, 0]]
+        b1, b_ok = [0, 1, 0], [3, 0, 6]
+        assert _solve_columns(rows, [b1, list(b1), [0, 0, 0], b_ok]) == [
+            None, None, [0, 0], [3, 0]]
+        assert _solve_columns(rows, []) == []
+
+
+def draw_rhs(data, rows, ncols):
+    """A right-hand side for `rows`: in the column space or arbitrary."""
+    if data.draw(st.booleans()):  # b in the column space
+        y = data.draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+        return [sum(Fraction(a) * v for a, v in zip(r, y)) for r in rows]
+    return data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+
+
+def assert_solves(rows, ncols, rhs, x):
+    """x is the solution with free columns 0 from the dense reference, or
+    None exactly when rhs is outside the column space."""
+    # b is in the column space iff the column of -b is free in [A | -b];
+    # that free column's basis vector is (x, 1) with x's free columns 0
+    free, basis = dense_nullspace([[*r, -b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols not in free:
+        assert x is None
+        return
+    assert x == basis[free.index(ncols)][:ncols]
+    assert all(x[c] == 0 for c in free if c < ncols)
+    for r, b in zip(rows, rhs):
+        assert sum(Fraction(a) * v for a, v in zip(r, x)) == b
 
 
 class TestDivideExact:

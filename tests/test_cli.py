@@ -129,6 +129,19 @@ class TestClassify:
         assert code == 0
         assert rep["results"][0]["dimension"] == 9
 
+    def test_ma_n1_is_sl3(self, capsys):
+        # u'' = 1: the 8-dimensional sl(3) needs degree-4 coefficients
+        code, rep = run_json(capsys, ["--n", "1", "--degree", "4", "--output",
+                                      "json", "classify", "--eq", "ma"])
+        assert code == 0
+        assert rep["results"][0]["dimension"] == 8
+        assert rep["results"][0]["expected"] == 8
+        code, rep = run_json(capsys, ["--n", "1", "--degree", "2", "--output",
+                                      "json", "classify", "--eq", "ma"])
+        assert code == 1
+        assert rep["results"][0]["dimension"] == 6
+        assert not rep["results"][0]["matches"]
+
 
 class TestDetermining:
     def test_listing(self, capsys):

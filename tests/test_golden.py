@@ -19,6 +19,9 @@ GOLDEN = Path(__file__).parent / "golden"
 DILATION = "xi1 = 2*x1; xi2 = 0; phi = 2*u"
 GRAPH_SHEAR = "xi1 = u; xi2 = 0; phi = 0"
 PROLONG_FIELD = "xi1 = x1*u; xi2 = x2^2; phi = u^2 + x1"
+# the field of the benchmark's N=3 prolongation job
+PROLONG_FIELD_N3 = ("xi1 = x1*u + x2^2\nxi2 = u^2 - x3\nxi3 = x1*x2\n"
+                    "phi = x1*x2*u + u^2\n")
 ELEMENT = json.dumps({"Q": [["2", "0"], ["0", "1/2"]], "P": ["0", "0"],
                       "D": ["1", "0"], "c": "3", "R": ["1/2", "0"], "d": "1"})
 DET_MINUS_ONE_X1 = "(u[1,1]*u[2,2] - u[1,2]^2 - 1)*x1"
@@ -56,6 +59,11 @@ CASES = {
         0, ["--n", "3", "--degree", "3", "classify", "--eq", "ma"], {}),
     "bracket-table-am-special": (
         0, ["--n", "2", "bracket-table", "--basis", "am-special"], {}),
+    "bracket-table-am-special-n3": (
+        0, ["--n", "3", "bracket-table", "--basis", "am-special"], {}),
+    "prolong-explicit-n3-o4": (
+        0, ["--n", "3", "prolong", "--field", "v.vf", "--order", "4",
+            "--explicit"], {"v.vf": PROLONG_FIELD_N3}),
     "prolong-explicit-o4": (
         0, ["--n", "2", "prolong", "--field", "v.vf", "--order", "4",
             "--explicit"], {"v.vf": PROLONG_FIELD}),

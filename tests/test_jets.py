@@ -205,6 +205,12 @@ class TestCircleSum:
         got = circle_sum(lambda ix: phi_((ix[0], ix[1])) * uj(ix[2]), (1, 1, 1))
         assert got == 3 * phi_((1, 1)) * uj(1)
 
+    def test_ambiguous_pattern_refused(self):
+        # phi_{x_a x_b} is one term for both orders, with coefficients 2 and 1
+        with pytest.raises(ValueError, match="ambiguous"):
+            circle_sum(lambda ix: (2 if ix[0] < ix[1] else 1)
+                       * phi_((ix[0], ix[1])), (1, 2))
+
 
 class TestApplyProlonged:
     def test_constant_shift_annihilates(self):

@@ -1,13 +1,27 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from liejet.algebra import DEP, Poly, coord, jet
+from liejet.algebra import (
+    DEP,
+    KIND_FUNC,
+    Poly,
+    coord,
+    exact_quotient,
+    func_partial,
+    integer_primitive,
+    jet,
+    mono_pairs,
+)
 from liejet.equations import build_affine_maximal, build_monge_ampere
 from liejet.jets import VectorField
 from liejet.symmetry import (
     GeneratorBasis,
+    _linear_system,
     NotClosedError,
     affine_maximal_basis,
     ansatz_dimension,
@@ -138,6 +152,7 @@ class TestGeneratorBases:
             GeneratorBasis((vf(1, [ONE]), vf(1, [2 * ONE])), 1, "dup")
 
     def test_expected_dimensions(self):
+        assert expected_dimension("ma", 1) == 8
         assert expected_dimension("ma", 2) == 9
         assert expected_dimension("ma", 3) == 16
         assert expected_dimension("am", 2, Fraction(1)) == 10
@@ -203,6 +218,88 @@ class TestClosure:
             closure_check(basis)
         assert err.value.pair == (0, 1)
         assert err.value.bracket.xi[0] == 2 * x1
+
+    def test_first_escaping_pair_in_pair_order(self):
+        # [d/dx, x^3 d/dx] = 3x^2 d/dx escapes at (0, 2), and the later pair
+        # (0, 3) has the same bracket; (0, 1) closes
+        x3 = x1 * x1 * x1
+        basis = GeneratorBasis((vf(1, [ONE]), vf(1, [ZERO], ONE),
+                                vf(1, [x3]), vf(1, [x3 + u])), 1, "probe")
+        fields = basis.fields
+        escapes = [(pair, br) for pair in itertools.combinations(range(4), 2)
+                   if span_coefficients(
+                       fields, br := lie_bracket(*(fields[i] for i in pair))) is None]
+        assert [pair for pair, _ in escapes][:2] == [(0, 2), (0, 3)]
+        assert escapes[0][1] == escapes[1][1]
+        with pytest.raises(NotClosedError) as err:
+            closure_check(basis)
+        assert (err.value.pair, err.value.bracket) == escapes[0]
+
+
+def linear_system_reference(eqs):
+    """`_linear_system` as it was before the support filter: every nonzero
+    equation's sign-fixed integer primitive form is looked up in one set."""
+    seen, equations = set(), []
+    for eq in eqs:
+        if eq.is_zero:
+            continue
+        lead = max(eq.terms, key=mono_pairs)
+        form = integer_primitive(eq.terms)
+        sign = 1 if form[lead] > 0 else -1
+        key = frozenset((m, sign * v) for m, v in form.items())
+        if key not in seen:
+            seen.add(key)
+            equations.append(eq * exact_quotient(1, eq.terms[lead]))
+    unknowns = sorted({a for eq in equations for a in eq.atoms()
+                       if a[0] == KIND_FUNC})
+    return tuple(unknowns), tuple(equations)
+
+
+UNKNOWN_POOL = [func_partial(0), func_partial(1, (1,)), func_partial(0, (1, 2)),
+                func_partial(2, (), 1), func_partial(1, (2,), 1)]
+nonzero_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+              st.integers(min_value=1, max_value=6)),
+).filter(bool)
+
+
+@st.composite
+def equation_groups(draw):
+    """Linear groups over a few shared supports (single terms among them),
+    with scaled copies of earlier groups (negative and `Fraction` factors
+    too) and zero groups."""
+    supports = draw(st.lists(
+        st.lists(st.sampled_from(UNKNOWN_POOL), min_size=1, max_size=3,
+                 unique=True), min_size=1, max_size=4))
+    groups = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        kind = draw(st.sampled_from(["new", "new", "copy", "copy", "zero"]))
+        if kind == "copy" and groups:
+            groups.append(draw(st.sampled_from(groups)) * draw(nonzero_rationals))
+        elif kind == "zero":
+            groups.append(Poly.zero())
+        else:
+            support = draw(st.sampled_from(supports))
+            groups.append(Poly.from_terms(
+                ([(a, 1)], draw(nonzero_rationals)) for a in support))
+    return groups
+
+
+PHI, XI1_X1 = Poly.variable(UNKNOWN_POOL[0]), Poly.variable(UNKNOWN_POOL[1])
+
+
+class TestLinearSystem:
+    @given(equation_groups())
+    @settings(max_examples=200)
+    # one support: a negative copy, a non-copy, repeated single terms
+    @example([PHI + XI1_X1, -2 * PHI - 2 * XI1_X1, PHI - XI1_X1, 3 * PHI,
+              Fraction(-1, 2) * PHI, XI1_X1, Poly.zero()])
+    def test_matches_reference(self, groups):
+        unknowns, equations = _linear_system(groups)
+        ref_unknowns, ref_equations = linear_system_reference(groups)
+        assert unknowns == ref_unknowns
+        assert list(equations) == list(ref_equations)
 
 
 class TestDetermining:
