@@ -1,16 +1,15 @@
 """Finite group elements, their action on solutions, and residual checks.
 
 A group element is the affine map (x, u) -> (Q x + P u + R, D.x + c u + d)
-of graph space.  For P = 0 the action on functions is global and exact:
-polynomial solutions map to polynomial solutions and residuals are computed
-symbolically.  For P != 0 the action is only local.  On a polynomial
-solution it is still exact: `transport_local` writes the transported jets
-over the source point with the powers of the Jacobian determinant cleared,
-so the residual is one polynomial.  Callable solutions (closed forms) are
-the only ones left to the float path: `act` realises the transformed
-function as a callable (inverting a local point map by Newton iteration),
-and `residual` estimates its jets by high-order finite differences with
-Richardson extrapolation.
+of graph space.  For P = 0 the action on functions is global: `act` moves
+a polynomial solution to a polynomial by exact substitution and wraps a
+callable (closed-form) one in an affine callable, and `residual` computes
+exact residuals of polynomials and finite-difference residuals (high-order
+central stencils with Richardson extrapolation) of callables.  For P != 0
+the action is only local, and `transport_local` is its one realisation:
+it moves polynomial solutions only, writing the transported jets over the
+source point with the powers of the Jacobian determinant cleared, so the
+residual is one polynomial.  `act` refuses local elements.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class PNotAllowedError(ValueError):
 
 
 class NotInvertibleHereError(RuntimeError):
-    """The point map of a local element could not be inverted near the
-    requested point."""
+    """The point map of a local element is degenerate (its Jacobian
+    determinant vanishes) at the solution's center or at a source point."""
 
 
 class NotAffineError(ValueError):
@@ -107,9 +106,7 @@ def _mat_inverse(rows: Mat) -> Mat:
 class GroupElement:
     """Affine transformation of graph space in block form.
 
-    linear = [[Q, P], [D, c]] acting on (x, u); shift = (R, d).  `local`
-    marks elements whose action on functions is only defined near a point
-    (exactly the P != 0 ones).
+    linear = [[Q, P], [D, c]] acting on (x, u); shift = (R, d).
     """
 
     n: int
@@ -119,7 +116,6 @@ class GroupElement:
     c: Fraction
     r: Vec
     d: Fraction
-    local: bool = False
     exact: bool = True
     error_bound: float | None = None
 
@@ -131,6 +127,12 @@ class GroupElement:
             raise ValueError("vector block has wrong shape")
         if rat_det(self.linear()) == 0:
             raise SingularError("element's linear part is singular")
+
+    @property
+    def local(self) -> bool:
+        """Whether the action on functions is only defined near a point:
+        exactly the graph shears, P != 0."""
+        return any(self.p)
 
     def linear(self) -> Mat:
         rows = [tuple(self.q[i]) + (self.p[i],) for i in range(self.n)]
@@ -154,8 +156,7 @@ def element_from_homogeneous(n: int, h: Mat, *, exact: bool = True,
     dvec = tuple(h[n][j] for j in range(n))
     c = h[n][n]
     d = h[n][n + 1]
-    local = any(p)
-    return GroupElement(n=n, q=q, p=p, dvec=dvec, c=c, r=r, d=d, local=local,
+    return GroupElement(n=n, q=q, p=p, dvec=dvec, c=c, r=r, d=d,
                         exact=exact, error_bound=error_bound)
 
 
@@ -188,7 +189,7 @@ def make_ma_element(lam, abar, b, dvec, d) -> GroupElement:
 
 def make_am_element(q, p, dvec, c, r, d, regime: str = "am-generic") -> GroupElement:
     """Fourth-order-regime element; graph shears (P != 0) are only accepted
-    in the special regime and flag the element as local."""
+    in the special regime, and they make the element local."""
     q = _mat(q)
     n = len(q)
     p = _vec(p)
@@ -196,7 +197,7 @@ def make_am_element(q, p, dvec, c, r, d, regime: str = "am-generic") -> GroupEle
         raise PNotAllowedError(
             "P != 0 requires the special parameter value (regime 'am-special')")
     return GroupElement(n=n, q=q, p=p, dvec=_vec(dvec), c=Fraction(c),
-                        r=_vec(r), d=Fraction(d), local=any(p))
+                        r=_vec(r), d=Fraction(d))
 
 
 # -- solution samples ------------------------------------------------------------
@@ -206,7 +207,7 @@ class SolutionSample:
     """A candidate solution: exact polynomial or black-box evaluator.
 
     `center`/`radius` hint at a neighbourhood where the function is defined
-    and convex; `locally_defined` marks outputs of local group actions.
+    and convex.
     """
 
     n: int
@@ -215,7 +216,6 @@ class SolutionSample:
     fn: Callable[[Sequence[float]], float] | None = None
     center: tuple[float, ...] = ()
     radius: float = math.inf
-    locally_defined: bool = False
 
     def __call__(self, x: Sequence[float]) -> float:
         if self.kind == "polynomial":
@@ -303,140 +303,52 @@ def solution_family(name: str, params: dict) -> SolutionSample:
 # -- the action on solutions ------------------------------------------------------
 
 def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
-    """Transport a solution by a group element.
+    """Transport a solution by a global (P = 0) element.
 
-    P = 0: the new function is u~(x~) = D.x + c u(x) + d at x = Q^-1(x~ - R);
-    exact polynomial output for polynomial input.  P != 0: the point map
-    x -> Q x + P u(x) + R is inverted by Newton iteration near the domain
-    center (to machine precision, 1e-12 at worst) and the result is a
-    local callable.  For a polynomial solution and P != 0, `transport_local`
-    gives the exact residual instead.
+    The new function is u~(x~) = D.x + c u(x) + d at x = Q^-1(x~ - R):
+    exact polynomial output for polynomial input, an affine wrapper around
+    a callable one.  A local element (P != 0) is refused: `transport_local`
+    moves polynomial solutions by it exactly, and callable ones have no
+    transport.
     """
     if g.n != s.n:
         raise ValueError("dimension mismatch")
+    if g.local:
+        raise ValueError("a local element (P != 0) moves polynomial solutions "
+                         "only, by exact transport over the source point")
     n = g.n
-    new_center = _apply_point(g, s.center, s(s.center))[:-1]
-    if not g.local:
-        qinv = _mat_inverse(g.q)
-        scale = max(sum(abs(float(v)) for v in row) for row in qinv)
-        radius = s.radius / scale if math.isfinite(s.radius) else math.inf
-        if s.kind == "polynomial":
-            mapping = {}
-            for i in range(n):
-                expr = Poly.const(-sum((qinv[i][j] * g.r[j] for j in range(n)),
-                                       Fraction(0)))
-                for j in range(n):
-                    expr = expr + qinv[i][j] * Poly.variable(coord(j + 1))
-                mapping[coord(i + 1)] = expr
-            inner = s.poly.substitute_atoms(mapping)
-            out = Poly.const(g.d) + g.c * inner
-            for i in range(n):
-                out = out + g.dvec[i] * mapping[coord(i + 1)]
-            return SolutionSample(n=n, kind="polynomial", poly=out,
-                                  center=new_center, radius=radius)
-        qinv_f = [[float(v) for v in row] for row in qinv]
-        rf = [float(v) for v in g.r]
-        df = [float(v) for v in g.dvec]
-        cf, d0 = float(g.c), float(g.d)
-        base = s
-
-        def fn(xt: Sequence[float]) -> float:
-            x = [sum(qinv_f[i][j] * (xt[j] - rf[j]) for j in range(n))
-                 for i in range(n)]
-            return sum(df[i] * x[i] for i in range(n)) + cf * base(x) + d0
-
-        return SolutionSample(n=n, kind="callable", fn=fn, center=new_center,
-                              radius=radius, locally_defined=s.locally_defined)
-
-    # local action: invert x -> Q x + P u(x) + R numerically
-    qf = [[float(v) for v in row] for row in g.q]
-    pf = [float(v) for v in g.p]
+    new_center = tuple(sum(float(g.q[i][j]) * s.center[j] for j in range(n))
+                       + float(g.r[i]) for i in range(n))
+    qinv = _mat_inverse(g.q)
+    scale = max(sum(abs(float(v)) for v in row) for row in qinv)
+    radius = s.radius / scale if math.isfinite(s.radius) else math.inf
+    if s.kind == "polynomial":
+        mapping = {}
+        for i in range(n):
+            expr = Poly.const(-sum((qinv[i][j] * g.r[j] for j in range(n)),
+                                   Fraction(0)))
+            for j in range(n):
+                expr = expr + qinv[i][j] * Poly.variable(coord(j + 1))
+            mapping[coord(i + 1)] = expr
+        inner = s.poly.substitute_atoms(mapping)
+        out = Poly.const(g.d) + g.c * inner
+        for i in range(n):
+            out = out + g.dvec[i] * mapping[coord(i + 1)]
+        return SolutionSample(n=n, kind="polynomial", poly=out,
+                              center=new_center, radius=radius)
+    qinv_f = [[float(v) for v in row] for row in qinv]
     rf = [float(v) for v in g.r]
     df = [float(v) for v in g.dvec]
     cf, d0 = float(g.c), float(g.d)
     base = s
-    x0 = list(s.center)
-    jac0 = _local_jacobian(qf, pf, base.gradient(x0), n)
-    if abs(_float_det(jac0)) < 1e-12:
-        raise NotInvertibleHereError("point map is degenerate at the center")
-
-    def invert(xt: Sequence[float]) -> list[float]:
-        # Newton to machine precision (well below the 1e-12 contract) so the
-        # inversion noise does not pollute finite-difference residuals.
-        x = list(x0)
-        last = math.inf
-        for _ in range(80):
-            ux = base(x)
-            gvec = [sum(qf[i][j] * x[j] for j in range(n)) + pf[i] * ux + rf[i]
-                    - xt[i] for i in range(n)]
-            gnorm = max(abs(v) for v in gvec)
-            if gnorm < 1e-15 or (gnorm < 1e-12 and gnorm >= last):
-                return x
-            last = gnorm
-            jac = _local_jacobian(qf, pf, base.gradient(x), n)
-            step = _float_solve(jac, gvec)
-            if step is None:
-                raise NotInvertibleHereError("Jacobian became singular")
-            for i in range(n):
-                x[i] -= step[i]
-        if last < 1e-12:
-            return x
-        raise NotInvertibleHereError("Newton iteration did not converge")
 
     def fn(xt: Sequence[float]) -> float:
-        x = invert(xt)
+        x = [sum(qinv_f[i][j] * (xt[j] - rf[j]) for j in range(n))
+             for i in range(n)]
         return sum(df[i] * x[i] for i in range(n)) + cf * base(x) + d0
 
-    radius = s.radius if math.isfinite(s.radius) else 1.0
     return SolutionSample(n=n, kind="callable", fn=fn, center=new_center,
-                          radius=radius / 4, locally_defined=True)
-
-
-def _apply_point(g: GroupElement, x: Sequence[float], u: float) -> tuple[float, ...]:
-    n = g.n
-    xt = [sum(float(g.q[i][j]) * x[j] for j in range(n)) + float(g.p[i]) * u
-          + float(g.r[i]) for i in range(n)]
-    ut = sum(float(g.dvec[i]) * x[i] for i in range(n)) + float(g.c) * u + float(g.d)
-    return tuple(xt) + (ut,)
-
-
-def _local_jacobian(qf, pf, grad, n):
-    return [[qf[i][j] + pf[i] * grad[j] for j in range(n)] for i in range(n)]
-
-
-def _float_det(m) -> float:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if abs(a[piv][c]) < 1e-300:
-            return 0.0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for j in range(c, n):
-                a[r][j] -= f * a[c][j]
-    return det
-
-
-def _float_solve(m, b) -> list[float] | None:
-    n = len(m)
-    a = [row[:] + [b[i]] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if abs(a[piv][c]) < 1e-300:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        for r in range(n):
-            if r != c:
-                f = a[r][c] / a[c][c]
-                for j in range(c, n + 1):
-                    a[r][j] -= f * a[c][j]
-    return [a[i][n] / a[i][i] for i in range(n)]
+                          radius=radius)
 
 
 # -- exponentiation ---------------------------------------------------------------
@@ -538,9 +450,9 @@ def residual(s: SolutionSample, sys: PdeSystem, points: Sequence[Sequence]) -> l
 
     Polynomial samples: exact rational values of the symbolic residual.
     Callable samples: all jet values are estimated by central finite
-    differences with Richardson extrapolation and substituted into F.  A
-    polynomial solution moved by a local element is not a callable here:
-    `transport_local` gives its residual exactly.
+    differences with Richardson extrapolation and substituted into F.
+    Callables only ever come from P = 0 elements; the residual of a
+    solution moved by a local element is `transport_local`'s, and exact.
     """
     _require_pinned(sys)
     if s.kind == "polynomial":
@@ -778,9 +690,8 @@ def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int,
     (x + k h e_a + l h e_b on one h ladder), so the sample is evaluated
     once per distinct point, through a memo keyed by the exact float
     coordinates and dropped when this call returns.  No value changes: a
-    sample is a pure function of its point (the local action restarts
-    Newton from the same center on every call), and `_fd_apply` builds a
-    point with the same float operations whichever derivative asks for it.
+    sample is a pure function of its point, and `_fd_apply` builds a point
+    with the same float operations whichever derivative asks for it.
     Keys compare by value, so -0.0 would share the entry of 0.0; points
     with rational coordinates and their stencil points never hold -0.0.
     """
@@ -819,6 +730,8 @@ def flow_derivative_matches(v: VectorField, s: SolutionSample,
     The infinitesimal change of the function under the flow is
     phi(x, u) - xi(x, u) . grad u; compare with a central difference of the
     finite action, which is exact in the group parameter up to O(eps^2).
+    The field's flow must be global (xi free of u), since `act` refuses
+    local elements.
     """
     gp = exponentiate(v, eps)
     gm = exponentiate(v, -eps)

@@ -233,9 +233,14 @@ def _unit_xi(n: int, i: int, p: Poly) -> tuple[Poly, ...]:
 
 
 def monge_ampere_basis(n: int) -> GeneratorBasis:
-    """(n+1)^2 independent generators of the second-order equation's algebra:
-    translations, the gauge shifts u -> u + c + b.x, the trace-free linear
-    maps of x, and one dilation weighted so the determinant is preserved."""
+    """The (n+1)^2 generators of the second-order equation's algebra for
+    n >= 2: translations, the gauge shifts u -> u + c + b.x, the trace-free
+    linear maps of x, and one dilation weighted so the determinant is
+    preserved.  At n = 1 the equation is u'' = 1, whose algebra is the
+    8-dimensional sl(3), not a list of this shape, so n < 2 is refused."""
+    if n < 2:
+        raise ValueError("the second-order generator basis needs N >= 2 "
+                         "(at N = 1 the algebra is sl(3))")
     u = Poly.variable(DEP)
     fields: list[VectorField] = []
     for i in range(1, n + 1):

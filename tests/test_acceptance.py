@@ -2,8 +2,9 @@
 pass/fail line (run with `pytest -s tests/test_acceptance.py` to see them).
 
 Every algebraic criterion is exact: zero polynomials, exact rational
-witnesses, or exact integer dimension counts.  The two finite-difference
-criteria use the tolerances stated with them (1e-8 global / 1e-6 local).
+witnesses, or exact integer dimension counts.  The one finite-difference
+check, criterion 8's N=1 closed-form family moved by P = 0 elements, uses
+the 1e-8 tolerance stated with it.
 """
 
 import random
@@ -197,8 +198,8 @@ def test_criterion_7_lie_algebra_closure():
 def test_criterion_8_finite_action_transport():
     """Exact second-order elements map unit-determinant quadratics to
     solutions with identically zero residual; fourth-order elements with
-    P = 0 preserve the N=1 closed-form family to < 1e-8; a P != 0 rotation
-    acts locally on the paraboloid to < 1e-6."""
+    P = 0 preserve the N=1 closed-form family to < 1e-8.  Local (P != 0)
+    elements are criterion 8's exact local transport cases."""
     ok = True
     ma2 = build_monge_ampere(2)
     quads = [
@@ -228,33 +229,7 @@ def test_criterion_8_finite_action_transport():
     vals = residual(moved, am1, pts)
     ok = ok and max(abs(v) for v in vals) < 1e-8
 
-    am2 = build_affine_maximal(2, Fraction(3, 4))
-    rot = make_am_element([[Fraction(63, 65), 0], [0, 1]],
-                          [Fraction(-16, 65), 0], [Fraction(16, 65), 0],
-                          Fraction(63, 65), [0, 0], 0, regime="am-special")
-    local = act(rot, solution_family("quadratic", {"M": [[1, 0], [0, 1]]}))
-    ok = ok and local.locally_defined
-    vals = residual(local, am2, [[0.0, 0.0], [0.05, 0.02], [-0.04, 0.03],
-                                 [0.03, -0.05]])
-    ok = ok and max(abs(v) for v in vals) < 1e-6
     _report(8, "finite action transport", ok)
-
-
-@pytest.mark.parametrize("theta, special", [(Fraction(4, 5), True),
-                                             (Fraction(1), False)])
-def test_criterion_8_graph_shear_transport_n3(theta, special):
-    """At N=3 the graph shear x1 -> x1 + u/10 maps a quadratic solution to a
-    local solution at theta = (N+1)/(N+2) = 4/5 only: its finite-difference
-    residual is below 1e-6 there and far above it at theta = 1."""
-    s = solution_family("quadratic", {"M": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]})
-    shear = make_am_element([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                            [Fraction(1, 10), 0, 0], [0, 0, 0], 1, [0, 0, 0],
-                            0, regime="am-special")
-    moved = act(shear, s)
-    [val] = residual(moved, build_affine_maximal(3, theta),
-                     [[1 / 18, -1 / 12, 1 / 9]])
-    ok = abs(val) < 1e-6 if special else abs(val) > 1
-    _report(8, f"graph shear transport at N=3, theta={theta}", ok)
 
 
 # the local criterion-8 cases: (N, special theta, element, solution)

@@ -165,6 +165,14 @@ class TestBracketTable:
         assert code == 0
         assert rep["results"][0]["closed"]
 
+    def test_ma_basis_below_n2_is_an_error_report(self, capsys):
+        code = main(["--n", "1", "--output", "json", "bracket-table",
+                     "--basis", "ma"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
+        assert "Traceback" not in err
+
 
 class TestOrbit:
     def test_quadratic_transport(self, capsys, element_file):
@@ -229,6 +237,21 @@ class TestOrbit:
             "--solution", "am1d:theta=1/2,a=1,b=1", "--points", "3"])
         assert code == 0
         assert rep["results"][0]["passed"]
+
+    def test_local_element_on_a_callable_is_an_error_report(self, capsys,
+                                                           tmp_path):
+        g = tmp_path / "g1.json"
+        g.write_text(json.dumps({"Q": [["1"]], "P": ["1/10"],
+                                 "regime": "am-special"}))
+        code = main(["--n", "1", "--theta", "1/2", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(g),
+                     "--solution", "am1d:theta=1/2,a=1,b=1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert "local element" in error["message"]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("points", ["0", "-2"])
     @pytest.mark.parametrize("n, element, solution", [

@@ -8,6 +8,7 @@ from liejet.equations import build_affine_maximal, build_monge_ampere
 from liejet.groups import (
     BadParamsError,
     DetNotOneError,
+    GroupElement,
     NotAffineError,
     NotInvertibleHereError,
     PNotAllowedError,
@@ -72,6 +73,21 @@ class TestElements:
         g = make_am_element(I2, [Fraction(1, 2), 0], [0, 0], 1, [0, 0], 0,
                             regime="am-special")
         assert g.local
+
+    def test_local_follows_p(self, paraboloid):
+        # built directly, without make_am_element's regime check
+        shear = GroupElement(n=2, q=((1, 0), (0, 1)), p=(Fraction(1, 10), 0),
+                             dvec=(0, 0), c=Fraction(1), r=(0, 0),
+                             d=Fraction(0))
+        assert shear.local
+        assert not make_ma_element(1, I2, [0, 0], [0, 0], 0).local
+        fam = solution_family("am1d", {"theta": Fraction(1, 2), "a": 1, "b": 1})
+        shear1 = make_am_element([[1]], [Fraction(1, 10)], [0], 1, [0], 0,
+                                 regime="am-special")
+        # act refuses a local element whatever the sample kind
+        for g, s in ((shear, paraboloid), (shear1, fam)):
+            with pytest.raises(ValueError, match="local element"):
+                act(g, s)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularError):
@@ -229,31 +245,41 @@ class TestTransportedSolutions:
         vals = residual(moved, am1_half, [[0.0], [0.3], [0.6]])
         assert max(abs(v) for v in vals) < 1e-8
 
-    def test_local_rotation_on_paraboloid(self, paraboloid):
-        am = build_affine_maximal(2, Fraction(3, 4))
-        rot = make_am_element(
-            [[Fraction(63, 65), 0], [0, 1]], [Fraction(-16, 65), 0],
-            [Fraction(16, 65), 0], Fraction(63, 65), [0, 0], 0,
-            regime="am-special")
-        moved = act(rot, paraboloid)
-        assert moved.locally_defined
-        vals = residual(moved, am, [[0.0, 0.0], [0.05, 0.02], [-0.04, 0.03]])
-        assert max(abs(v) for v in vals) < 1e-6
-
 
 class TestExactLocalTransport:
     SHEAR = make_am_element(I2, [Fraction(1, 10), 0], [0, 0], 1, [0, 0], 0,
                             regime="am-special")
 
-    def test_agrees_with_finite_differences(self):
-        # an independent oracle: the Newton + Richardson value at the image
+    def _fd_residual_of_shear(self, theta):
+        """The exact residual of the shear x1 -> x1 + u/10 on
+        u = x1^2/2 + x2^2 at a source point, and an independent float
+        oracle: the finite-difference residual at the image point of the
+        transported function, written in closed form.  Solving
+        x~1 = x1 + u(x1, x~2)/10 for x1 gives
+        x1 = 10 (-1 + sqrt(1 - (x~2^2/10 - x~1)/5))."""
+        def fn(xt):
+            y1 = 10 * (-1 + math.sqrt(1 - (xt[1] ** 2 / 10 - xt[0]) / 5))
+            return y1 ** 2 / 2 + xt[1] ** 2
+
+        # defined for x~1 > x~2^2/10 - 5: radius 1 keeps the stencils inside
+        moved = SolutionSample(n=2, kind="callable", fn=fn, center=(0.0, 0.0),
+                               radius=1.0)
         s = solution_family("quadratic", {"M": [[1, 0], [0, 2]]})
-        am = build_affine_maximal(2, 1)
+        am = build_affine_maximal(2, theta)
         point, value = transport_local(self.SHEAR, s, am).at(
             [Fraction(1, 20), Fraction(-1, 30)])
-        [fd] = residual(act(self.SHEAR, s), am, [point])
+        [fd] = residual(moved, am, [point])
+        return value, fd
+
+    def test_agrees_with_finite_differences(self):
+        value, fd = self._fd_residual_of_shear(1)
         assert value != 0
-        assert abs(fd - float(value)) < 1e-6 * abs(float(value))
+        assert abs(fd - float(value)) < 1e-8 * abs(float(value))
+
+    def test_zero_at_the_special_theta_agrees_with_finite_differences(self):
+        value, fd = self._fd_residual_of_shear(Fraction(3, 4))
+        assert value == 0
+        assert abs(fd) < 1e-8
 
     def test_p_zero_agrees_with_the_global_action(self):
         s = polynomial_sample(2, x1 ** 4 + x1 * Poly.variable(coord(2)) ** 2)

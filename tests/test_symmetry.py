@@ -107,13 +107,18 @@ class TestInfinitesimalCheck:
 
 
 class TestGeneratorBases:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
     def test_ma_basis_annihilates_identically(self, n):
         sys = build_monge_ampere(n)
         basis = monge_ampere_basis(n)
         assert len(basis.fields) == (n + 1) ** 2
         reports = check_generator_basis(sys, basis, trials=2)
         assert all(r.verdict == "identically-zero" for r in reports)
+
+    def test_ma_basis_refuses_n1(self):
+        # u'' = 1 has the 8-dimensional sl(3), not (n+1)^2 = 4 generators
+        with pytest.raises(ValueError, match="N >= 2"):
+            monge_ampere_basis(1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_am_symbolic_theta_basis_passes(self, n):
