@@ -50,16 +50,19 @@ from .jets import (
 from .symmetry import (
     CheckReport,
     DeterminingSystem,
+    ExplicitVariableError,
     GeneratorBasis,
     NotClosedError,
     affine_maximal_basis,
     ansatz_dimension,
     check_generator_basis,
     closure_check,
+    degree_certified,
     extract_determining,
     infinitesimal_check,
     lie_bracket,
     monge_ampere_basis,
+    taylor_rows,
 )
 from .groups import (
     BadParamsError,

@@ -721,6 +721,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None
               ) -> tuple[int, list[list[Fraction]]]:
     """Exact nullspace of a rational matrix: (dimension, basis vectors).
 
+    Rows are dense or sparse {column: value} maps (which need `ncols`).
     Read from the reduced echelon form of `_reduced_echelon`.  Basis vectors
     carry a 1 in their own free column and 0 in every other free column,
     which makes the basis unique; M @ b == 0 exactly for every basis vector
@@ -777,19 +778,22 @@ def _solve_columns(rows: Sequence[Sequence], rhss: Sequence[Sequence]
 def _reduced_echelon(rows: Sequence[Sequence], ncols: int
                      ) -> dict[int, dict[int, int]]:
     """The reduced echelon form of a rational matrix as {pivot column:
-    integer row}, each row a sparse {column: value} map.
+    integer row}, each row a sparse {column: value} map, as the input rows
+    may be.
 
     Sparse and fraction-free: every row is cleared of denominators into a
     coprime integer row (`integer_primitive`), pivots are taken by leading column and each new pivot row
     is divided by its content.  Back-substitution, right to left and also in
     integers, clears every pivot column from the other pivot rows.
     """
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        qs = (v if type(v) is int else Fraction(v) for v in r)
-        row = integer_primitive({j: q for j, q in enumerate(qs) if q})
+        sparse = isinstance(r, Mapping)
+        if max(r, default=-1) >= ncols if sparse else len(r) != ncols:
+            raise ValueError("ragged matrix")
+        qs = ((j, v if type(v) is int else Fraction(v))
+              for j, v in (r.items() if sparse else enumerate(r)))
+        row = integer_primitive({j: q for j, q in qs if q})
         while row:
             lead = min(row)
             prow = pivots.get(lead)

@@ -9,9 +9,10 @@ equation F = 0, in increasing order of cost:
     solution variety (with a nonzero witness as disproof otherwise)?
 
 On top of that it extracts the linear determining system for the unknown
-coefficient functions, counts the solution space of a bounded-degree
-polynomial ansatz by an exact nullspace computation, and checks that a
-basis of generators closes under the Lie bracket.
+coefficient functions.  Its derivatives, one sparse matrix on the Taylor
+coefficients, count the polynomial fields of degree <= K by an exact
+nullspace and certify that no solution has a higher degree.  It also
+checks that a basis of generators closes under the Lie bracket.
 """
 
 from __future__ import annotations
@@ -21,14 +22,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import factorial, prod
+from operator import add
 from typing import Iterable
 
 from .algebra import (
     Atom,
     DEP,
+    KIND_COORD,
+    KIND_DEP,
     KIND_FUNC,
     Monomial,
     Poly,
+    atom_str,
     coord,
     denominator_lcm,
     divide_exact,
@@ -36,6 +42,7 @@ from .algebra import (
     integer_primitive,
     mono_pairs,
     nullspace,
+    _reduced_echelon,
     _solve_columns,
     tuple_order,
 )
@@ -59,6 +66,10 @@ VERDICT_IDENTICAL = "identically-zero"
 VERDICT_MULTIPLIER = "multiplier-found"
 VERDICT_ON_VARIETY = "zero-on-variety"
 VERDICT_FAILS = "fails"
+
+
+class ExplicitVariableError(ValueError):
+    """F holds x or u: its determining system has non-constant coefficients."""
 
 
 class NotClosedError(Exception):
@@ -353,14 +364,21 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     rest by L, so the cleared polynomial and every equation become L^(m+1)
     times their old values, and the system is homogeneous and each equation
     is scaled to leading coefficient 1.
+
+    An F with x or u is refused: the func atoms depend on (x, u), so
+    collecting by x or u would split an equation into wrong ones.
     """
     if sys.theta_symbolic:
         raise ValueError("pin theta to a rational before extracting")
-    F = sys.F * denominator_lcm(sys.F)
-    # PdeSystem guarantees that F is affine-linear in its top variable
+    explicit = sorted(a for a in sys.F.atoms() if a[0] in (KIND_COORD, KIND_DEP))
+    if explicit:
+        raise ExplicitVariableError(
+            f"F holds {atom_str(explicit[0])} explicitly; a determining "
+            "system is extracted only for an F without x or u")
+    L = denominator_lcm(sys.F)
+    F = sys.F * L
     R = apply_prolonged(SymbolicVectorField(sys.n), F, sys.order)
-    A = F.diff(sys.top_var)
-    B = F - A * Poly.variable(sys.top_var)
+    A, B = (p * L for p in sys.top_split)  # F = A * top + B
     powers = R.coefficient_powers(sys.top_var)
     m = max(powers)
     cleared = Poly.zero()
@@ -384,42 +402,53 @@ def satisfies_determining(ds: DeterminingSystem, v: VectorField) -> bool:
     return all(r.is_zero for r in determining_residuals(ds, v))
 
 
+# -- Taylor-coefficient rows ---------------------------------------------------------
+
+def _exponents(n: int, low: int, high: int) -> list[tuple[int, ...]]:
+    """Sorted exponent tuples over (x1..xn, u) of total degree low..high."""
+    return [a for a in itertools.product(range(high + 1), repeat=n + 1)
+            if low <= sum(a) <= high]
+
+
+def taylor_rows(ds: DeterminingSystem, n: int, order: int
+                ) -> list[dict[tuple[int, tuple[int, ...]], int | Fraction]]:
+    """The rows d^beta(eq) for every equation and every |beta| <= order.
+
+    The equations are linear with constant coefficients, so their
+    derivatives are equations on the Taylor coefficients.  A column
+    (comp, alpha) is the derivative of xi^comp (phi for 0) by the exponents
+    alpha of (x1..xn, u): the func atom (comp, xs, du) at beta = 0.
+    """
+    shifts = _exponents(n, 0, order)
+    rows = []
+    for eq in ds.equations:
+        terms = [(comp, (*map(xs.count, range(1, n + 1)), du), lam)
+                 for (((_, comp, xs, du), _),), lam in eq.term_pairs()]
+        rows += ({(comp, tuple(map(add, alpha, beta))): lam
+                  for comp, alpha, lam in terms} for beta in shifts)
+    return rows
+
+
+def degree_certified(ds: DeterminingSystem, n: int, degree: int,
+                     order: int) -> bool:
+    """True when `taylor_rows(ds, n, order)` span every Taylor column of
+    order degree+1: all (comp, alpha) with |alpha| = degree+1, also those
+    no row touches.  Each such derivative of a solution then vanishes at
+    every point, so every solution is a polynomial field of degree <=
+    degree (Reid, Eur. J. Appl. Math. 2, 1991).  False only means the rows
+    up to this order do not show it."""
+    rows = taylor_rows(ds, n, order)
+    targets = list(itertools.product(range(n + 1),
+                                     _exponents(n, degree + 1, degree + 1)))
+    index = {c: k for k, c in enumerate(
+        sorted({*targets, *(c for row in rows for c in row)}))}
+    pivots = _reduced_echelon(
+        [{index[c]: v for c, v in row.items()} for row in rows], len(index))
+    # a unit column is in the row span iff it is a reduced pivot row
+    return all(len(pivots.get(index[t], ())) == 1 for t in targets)
+
+
 # -- bounded-degree ansatz ----------------------------------------------------------
-
-def _ansatz_monomials(n: int, degree: int) -> list[tuple[tuple[int, ...], int]]:
-    """(x-exponents, u-exponent) for all monomials of total degree <= degree."""
-    out = []
-    for total in range(degree + 1):
-        for xpart in itertools.combinations_with_replacement(range(n + 1), total):
-            # xpart entries: 0 encodes a factor of u, 1..n coordinate factors
-            xexp = [0] * n
-            uexp = 0
-            for e in xpart:
-                if e == 0:
-                    uexp += 1
-                else:
-                    xexp[e - 1] += 1
-            out.append((tuple(xexp), uexp))
-    return sorted(set(out))
-
-
-def _falling(a: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= a - t
-    return out
-
-
-def _monomial_poly(n: int, mono: tuple[tuple[int, ...], int]) -> Poly:
-    xexp, uexp = mono
-    p = Poly.const(1)
-    for i, e in enumerate(xexp, start=1):
-        if e:
-            p = p * Poly.variable(coord(i)) ** e
-    if uexp:
-        p = p * Poly.variable(DEP) ** uexp
-    return p
-
 
 def ansatz_dimension(sys: PdeSystem, degree: int,
                      dets: DeterminingSystem | None = None
@@ -427,72 +456,34 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
     """Dimension (and a basis) of the space of polynomial fields of total
     degree <= degree solving the determining system.
 
-    Substituting the general ansatz turns each determining equation into a
-    polynomial identity in (x,u); collecting monomial coefficients yields an
-    exact homogeneous linear system whose nullspace is returned as fields.
+    A degree-K field has no Taylor coefficient of order > K: its equations
+    are `taylor_rows(ds, n, K)` without those columns.  Scaling column
+    (comp, alpha) by alpha! makes the unknowns the monomial coefficients,
+    ordered xi^1..xi^n, phi, each over the sorted exponents.  The count is
+    the whole algebra when `degree_certified` holds at some degree <= K.
     """
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
     ds = dets if dets is not None else extract_determining(sys)
     n = sys.n
-    monos = _ansatz_monomials(n, degree)
-    mono_index = {m: k for k, m in enumerate(monos)}
-    funcs = list(range(1, n + 1)) + [0]  # xi^1..xi^n then phi
-    col_of = {(f, k): i for i, (f, k) in enumerate(
-        (f, k) for f in funcs for k in range(len(monos)))}
-    ncols = len(col_of)
-
-    rows: set[tuple[int | Fraction, ...]] = set()
-    for eq in ds.equations:
-        by_target: dict[tuple[tuple[int, ...], int], dict[int, int | Fraction]] = {}
-        for mono_eq, lam in eq.term_pairs():
-            (atom, _e), = mono_eq
-            _, comp, xs, du = atom
-            xcounts = [0] * n
-            for i in xs:
-                xcounts[i - 1] += 1
-            for (xexp, uexp), k in mono_index.items():
-                c = lam
-                ok = True
-                for i in range(n):
-                    if xcounts[i]:
-                        if xexp[i] < xcounts[i]:
-                            ok = False
-                            break
-                        c *= _falling(xexp[i], xcounts[i])
-                if not ok or uexp < du:
-                    continue
-                c *= _falling(uexp, du)
-                if not c:
-                    continue
-                target = (tuple(xexp[i] - xcounts[i] for i in range(n)),
-                          uexp - du)
-                row = by_target.setdefault(target, {})
-                col = col_of[(comp, k)]
-                row[col] = row.get(col, 0) + c
-        for cols in by_target.values():
-            vec = [0] * ncols
-            nonzero = False
-            for c, val in cols.items():
-                if val:
-                    vec[c] = val
-                    nonzero = True
-            if nonzero:
-                rows.add(tuple(vec))
-
-    dim, basis = nullspace(sorted(rows), ncols=ncols)
-
-    def component(vec: list[Fraction], f: int) -> Poly:
-        p = Poly.zero()
-        for k, m in enumerate(monos):
-            c = vec[col_of[(f, k)]]
-            if c:
-                p = p + c * _monomial_poly(n, m)
-        return p
-
-    fields = [VectorField(n, tuple(component(vec, f) for f in range(1, n + 1)),
-                          component(vec, 0))
-              for vec in basis]
+    exps = _exponents(n, 0, degree)
+    comps = [*range(1, n + 1), 0]
+    col_of = {c: k for k, c in enumerate(itertools.product(comps, exps))}
+    scale = {a: prod(map(factorial, a)) for a in exps}
+    rows = {}  # integer primitive form -> row, so copies are dropped
+    for row in taylor_rows(ds, n, degree):
+        kept = integer_primitive({col_of[c]: v * scale[c[1]]
+                                  for c, v in row.items() if c in col_of})
+        if kept:
+            rows[frozenset(kept.items())] = kept
+    dim, basis = nullspace(list(rows.values()), len(col_of))
+    variables = (*map(coord, range(1, n + 1)), DEP)
+    fields = []
+    for vec in basis:
+        xi_phi = [Poly.from_terms((zip(variables, a), vec[col_of[f, a]])
+                                  for a in exps if vec[col_of[f, a]])
+                  for f in comps]
+        fields.append(VectorField(n, tuple(xi_phi[:n]), xi_phi[n]))
     return dim, fields
 
 

@@ -41,6 +41,7 @@ from liejet.symmetry import (
     ansatz_dimension,
     check_generator_basis,
     closure_check,
+    degree_certified,
     determining_residuals,
     extract_determining,
     infinitesimal_check,
@@ -138,16 +139,29 @@ def test_criterion_4_theta_dichotomy():
 
 
 def test_criterion_5_ansatz_dimension_counts():
-    """Degree-2 ansatz dimensions: MA 9 (N=2) and 16 (N=3); AM at N=2:
-    10 at theta=1 and 12 at theta=3/4; MA N=2 stable at degrees 3, 4."""
+    """Ansatz dimensions, each with its degree certificate: MA 9 (N=2) and
+    16 (N=3); AM 10 at theta=1 and 12 at theta=3/4 (N=2), 17 at theta=1
+    and 20 at theta=4/5 (N=3); MA N=2 stable at degrees 3, 4.
+
+    The certificate at the smallest degree that has one (degree 1 at the
+    Taylor order given) shows that every solution of the determining
+    system is a polynomial field of degree <= 1, so each count at a degree
+    >= 1 is the whole point-symmetry algebra, with no growth assumption."""
     ok = True
-    ma2 = build_monge_ampere(2)
-    ok = ok and ansatz_dimension(ma2, 2)[0] == 9
-    ok = ok and ansatz_dimension(build_monge_ampere(3), 2)[0] == 16
-    ok = ok and ansatz_dimension(build_affine_maximal(2, 1), 2)[0] == 10
-    ok = ok and ansatz_dimension(build_affine_maximal(2, Fraction(3, 4)), 2)[0] == 12
-    ok = ok and ansatz_dimension(ma2, 3)[0] == 9
-    ok = ok and ansatz_dimension(ma2, 4)[0] == 9
+    # (system, ansatz degrees, expected count, certified degree, row order)
+    cases = [
+        (build_monge_ampere(2), (2, 3, 4), 9, 1, 1),
+        (build_monge_ampere(3), (2,), 16, 1, 1),
+        (build_affine_maximal(2, 1), (2,), 10, 1, 0),
+        (build_affine_maximal(2, Fraction(3, 4)), (2,), 12, 1, 0),
+        (build_affine_maximal(3, 1), (2,), 17, 1, 0),
+        (build_affine_maximal(3, Fraction(4, 5)), (2,), 20, 1, 0),
+    ]
+    for sys_, degrees, count, degree, order in cases:
+        ds = extract_determining(sys_)  # one extraction per system
+        ok = ok and degree_certified(ds, sys_.n, degree, order)
+        for k in degrees:
+            ok = ok and ansatz_dimension(sys_, k, ds)[0] == count
     _report(5, "ansatz dimension counts", ok)
 
 

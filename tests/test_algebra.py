@@ -431,6 +431,17 @@ class TestNullspace:
             for r in rows:
                 assert sum(Fraction(x) * v for x, v in zip(r, b)) == 0
 
+    @given(sparse_matrices())
+    @settings(max_examples=100)
+    def test_sparse_rows_match_dense(self, matrix):
+        rows, ncols = matrix
+        sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        assert nullspace(sparse, ncols=ncols) == nullspace(rows, ncols=ncols)
+
+    def test_sparse_row_outside_the_matrix(self):
+        with pytest.raises(ValueError):
+            nullspace([{0: 1, 3: 2}], ncols=3)
+
     def test_no_rows(self):
         dim, basis = nullspace([], ncols=3)
         assert dim == 3

@@ -55,6 +55,12 @@ CASES = {
         0, ["--n", "2", "--theta", "1/2", "determining", "--eq", "am"], {}),
     "determining-am-t3_4": (
         0, ["--n", "2", "--theta", "3/4", "determining", "--eq", "am"], {}),
+    # the alpha! column scaling with u-exponents >= 2 and x-exponents up to 4
+    "classify-am-t1-d3": (
+        0, ["--n", "2", "--theta", "1", "--degree", "3", "classify",
+            "--eq", "am"], {}),
+    "classify-ma-n1-d4": (
+        0, ["--n", "1", "--degree", "4", "classify", "--eq", "ma"], {}),
     "classify-ma-n3-d3": (
         0, ["--n", "3", "--degree", "3", "classify", "--eq", "ma"], {}),
     "bracket-table-am-special": (

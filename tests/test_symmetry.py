@@ -17,9 +17,11 @@ from liejet.algebra import (
     jet,
     mono_pairs,
 )
-from liejet.equations import build_affine_maximal, build_monge_ampere
+from liejet.equations import PdeSystem, build_affine_maximal, build_monge_ampere
 from liejet.jets import VectorField
 from liejet.symmetry import (
+    DeterminingSystem,
+    ExplicitVariableError,
     GeneratorBasis,
     _linear_system,
     NotClosedError,
@@ -27,6 +29,7 @@ from liejet.symmetry import (
     ansatz_dimension,
     check_generator_basis,
     closure_check,
+    degree_certified,
     determining_residuals,
     expected_dimension,
     extract_determining,
@@ -36,6 +39,7 @@ from liejet.symmetry import (
     mutual_span,
     satisfies_determining,
     span_coefficients,
+    taylor_rows,
 )
 
 x1 = Poly.variable(coord(1))
@@ -362,6 +366,20 @@ class TestDetermining:
         with pytest.raises(ValueError):
             extract_determining(build_affine_maximal(2))
 
+    def test_refuses_explicit_x_or_u(self):
+        # u'' = x1 has the symmetry phi = u - x1^3/6, certified by an exact
+        # multiplier, but collecting by x1 would split its equations wrongly
+        F = Poly.variable(jet(1, 1)) - x1
+        sys = PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1),
+                        convexity_required=False)
+        v = vf(1, [ZERO], u - Fraction(1, 6) * x1 ** 3)
+        assert infinitesimal_check(sys, v, trials=3).verdict == "multiplier-found"
+        with pytest.raises(ExplicitVariableError, match="x1"):
+            extract_determining(sys)
+        with_u = dataclasses.replace(sys, F=F + x1 - u)
+        with pytest.raises(ExplicitVariableError, match="u"):
+            extract_determining(with_u)
+
     def test_equivalent_to_coefficient_comparison(self, ma2):
         # Independent derivation: expand the second-order invariance
         # condition by hand into its first-jet coefficient system and
@@ -447,6 +465,56 @@ class TestAnsatzDimension:
     def test_degree_validation(self, ma2):
         with pytest.raises(ValueError):
             ansatz_dimension(ma2, 0)
+
+
+class TestTaylorRows:
+    def test_rows_shift_every_column(self):
+        # n = 1: phi_u - xi1_x1 = 0 and every derivative of it up to order 1
+        eq = (Poly.variable(func_partial(0, (), 1))
+              - Poly.variable(func_partial(1, (1,))))
+        ds = DeterminingSystem((), (eq,))
+        assert taylor_rows(ds, 1, 1) == [
+            {(0, (0, 1)): 1, (1, (1, 0)): -1},
+            {(0, (0, 2)): 1, (1, (1, 1)): -1},
+            {(0, (1, 1)): 1, (1, (2, 0)): -1},
+        ]
+
+    def test_smallest_certified_degree_and_order(self, ma2, am2_theta1,
+                                                 am2_special):
+        ds = extract_determining(ma2)
+        assert not degree_certified(ds, 2, 1, 0)
+        assert degree_certified(ds, 2, 1, 1)
+        for sys in (am2_theta1, am2_special):
+            assert degree_certified(extract_determining(sys), 2, 1, 0)
+
+    def test_ma_n1_needs_degree_4(self):
+        # u'' = 1 has the 8-dimensional sl(3), whose fields reach degree 4
+        sys = build_monge_ampere(1)
+        ds = extract_determining(sys)
+        assert [ansatz_dimension(sys, k, ds)[0] for k in range(1, 5)] == \
+            [4, 6, 7, 8]
+        for degree in range(1, 4):
+            assert not any(degree_certified(ds, 1, degree, order)
+                           for order in range(4))
+        assert degree_certified(ds, 1, 4, 3)
+
+    def test_no_equations_certify_nothing(self):
+        # every target column counts, also those no row touches
+        assert not degree_certified(DeterminingSystem((), ()), 2, 1, 2)
+
+    def test_dropping_an_equation_is_seen(self, ma2):
+        # negative control: without equation 0 the certificate fails (and
+        # a degree-2 field appears); without equation 2 (xi1_u = 0) it holds
+        # but the degree-1 count rises, as xi1 = u is then a solution
+        ds = extract_determining(ma2)
+        for dropped in (0, 2):
+            eqs = ds.equations[:dropped] + ds.equations[dropped + 1:]
+            weaker = DeterminingSystem(ds.unknowns, eqs)
+            assert (not degree_certified(weaker, 2, 1, 1)
+                    or ansatz_dimension(ma2, 1, weaker)[0] > 9)
+        without_0 = DeterminingSystem(ds.unknowns, ds.equations[1:])
+        assert not degree_certified(without_0, 2, 1, 1)
+        assert ansatz_dimension(ma2, 2, without_0)[0] == 10
 
 
 class TestNegativeControls:
