@@ -2,11 +2,14 @@
 
 Coefficients are `int` when integral and `fractions.Fraction` otherwise;
 every operation is exact, a float coefficient is refused, and identity
-checks reduce to dictionary comparison.  `Poly.evaluate` and
-`jets.apply_prolonged` keep an integer interior, the fraction-free idea of
-Bareiss: they clear denominators once per call (`denominator_lcm`), work
-in `int` and divide once at the end.  The scale is a nonzero integer,
-undone exactly, so values and terms are those of `Fraction` arithmetic.
+checks reduce to dictionary comparison.  `Poly.__mul__`,
+`Poly.substitute_atoms`, `Poly.evaluate` and `jets.apply_prolonged` keep
+an integer interior, the fraction-free idea of Bareiss: they clear
+denominators once per call (`denominator_lcm`; per factor in a product,
+per mapped value and per term over one common denominator in a
+substitution), work in `int` and divide each result once at the end.  The
+scale is a nonzero integer, undone exactly, so values and terms are those
+of `Fraction` arithmetic.
 
 Atoms (the variables of the ring) are plain tuples with a small integer
 kind tag, so they hash fast and sort with the native tuple order:
@@ -339,15 +342,22 @@ class Poly:
             return NotImplemented
         if not self.terms or not other.terms:
             return Poly({})
-        out: dict[Monomial, int | Fraction] = {}
+        # integer interior: each factor over its own denominator lcm
+        left, right = self.terms, other.terms
+        l1, l2 = _denominator(left), _denominator(right)
+        if l1 != 1:
+            left = _scaled_terms(left, l1)
+        if l2 != 1:
+            right = _scaled_terms(right, l2)
+        out: dict[Monomial, int] = {}
         get = out.get
-        items = other.terms.items()
-        for m1, c1 in self.terms.items():
+        items = right.items()
+        for m1, c1 in left.items():
             for m2, c2 in items:
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
         _check_exponents(out)
-        return Poly(_tidy(out))
+        return Poly(_divided(out, l1 * l2))
 
     __rmul__ = __mul__
 
@@ -413,35 +423,54 @@ class Poly:
         return self.substitute_atoms({a: _as_poly(replacement)})
 
     def substitute_atoms(self, mapping: Mapping[Atom, "Poly"]) -> "Poly":
-        """Replace every occurrence of the mapped atoms, re-expanding."""
-        if not mapping:
+        """Replace every occurrence of the mapped atoms, re-expanding.
+
+        The expansion runs in integers.  With L the lcm of the coefficient
+        denominators, L_a that of the value of atom a and t_a the largest
+        exponent of a, a term c * r * prod a^e is the integer polynomial
+        (L c) * r * prod (L_a a)^e * L_a^(t_a - e) over the common
+        denominator L * prod L_a^t_a, by which every output term is divided
+        once.
+        """
+        if not mapping or not self.terms:
             return self
         mask = _field_mask(mapping)
-        out: dict[Monomial, int | Fraction] = {}
-        powcache: dict[tuple[Atom, int], Poly] = {}
-        for m, c in self.terms.items():
+        scales = {a: _denominator(q.terms) for a, q in mapping.items()}
+        cleared = {a: Poly(_scaled_terms(q.terms, scales[a]))
+                   for a, q in mapping.items()}
+        spare = 1  # prod L_a^t_a
+        for a, s in scales.items():
+            if s != 1:
+                sh = _SHIFT[a]
+                spare *= s ** max((m >> sh) & _FIELD_MASK for m in self.terms)
+        scale = _denominator(self.terms)
+        out: dict[Monomial, int] = {}
+        powcache: dict[tuple[Atom, int], tuple[Poly, int]] = {}
+        for m, c in _scaled_terms(self.terms, scale).items():
             hit = m & mask
             if not hit:
-                v = out.get(m, 0) + c
-                if v:
-                    out[m] = _canon(v)
-                else:
-                    out.pop(m, None)
-                continue
-            piece = Poly({m ^ hit: c})
-            for a, e in mono_pairs(hit):
-                q = powcache.get((a, e))
-                if q is None:
-                    q = mapping[a] ** e
-                    powcache[(a, e)] = q
-                piece = piece * q
-            for mm, cc in piece.terms.items():
+                pieces = {m: c * spare}
+            else:
+                factors = []
+                used = 1  # prod L_a^e, a divisor of `spare`
+                for a, e in mono_pairs(hit):
+                    got = powcache.get((a, e))
+                    if got is None:
+                        got = powcache[(a, e)] = (cleared[a] ** e,
+                                                  scales[a] ** e)
+                    factors.append(got[0])
+                    used *= got[1]
+                piece = Poly({m ^ hit: c * (spare // used)})
+                for q in factors:
+                    piece = piece * q
+                pieces = piece.terms
+            for mm, cc in pieces.items():
                 v = out.get(mm, 0) + cc
                 if v:
-                    out[mm] = _canon(v)
+                    out[mm] = v
                 else:
                     out.pop(mm, None)
-        return Poly(out)
+        return Poly(_divided(out, scale * spare))
 
     def evaluate(self, env: Mapping[Atom, int | Fraction]) -> Fraction:
         """Exact value under a full atom assignment.
@@ -524,6 +553,33 @@ def _tidy(out: dict) -> dict:
     return {m: c if type(c) is int else _canon(c) for m, c in out.items() if c}
 
 
+def _denominator(terms: dict) -> int:
+    """The lcm of the coefficient denominators of a term map; one pass
+    when every coefficient is an int."""
+    for c in terms.values():
+        if type(c) is not int:
+            return lcm(*{c.denominator for c in terms.values()
+                         if type(c) is not int})
+    return 1
+
+
+def _scaled_terms(terms: dict, scale: int) -> dict[Monomial, int]:
+    """A term map times `scale`, a multiple of its `_denominator`, so every
+    coefficient is an int."""
+    if scale == 1:
+        return terms
+    return {m: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+            for m, c in terms.items()}
+
+
+def _divided(out: dict[Monomial, int], den: int) -> dict:
+    """Integer sums over a positive denominator as canonical terms: zeros
+    dropped, each coefficient divided once."""
+    if den == 1:
+        return {m: c for m, c in out.items() if c}
+    return {m: _canon(Fraction(c, den)) for m, c in out.items() if c}
+
+
 def _coefficient(value) -> int | Fraction:
     """An exact coefficient from outside the core; floats are refused so an
     inexact value cannot enter a polynomial."""
@@ -547,8 +603,7 @@ def exact_quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
 def denominator_lcm(*polys: Poly) -> int:
     """The lcm of the coefficient denominators of the polynomials: the least
     positive integer that makes every coefficient integral."""
-    return lcm(*(c.denominator for p in polys for c in p.terms.values()
-                 if type(c) is not int))
+    return lcm(*(_denominator(p.terms) for p in polys))
 
 
 def _as_poly(value) -> Poly:

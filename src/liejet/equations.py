@@ -145,16 +145,18 @@ def _contraction_v(n: int) -> Poly:
 
 
 def _contraction_z(n: int) -> Poly:
-    # det^3 * u_{ijk} u^{ijk}
+    # det^3 * u_{ijk} u^{ijk} = u_{abc} w^{abc}, w^{abc} = U^{ai} U^{bj} U^{ck}
+    # u_{ijk}, with the indices of u_{ijk} raised one at a time
     U = _cofactors(n)
-    rng = range(1, n + 1)
-    out = Poly.zero()
-    for a, b, c in itertools.product(rng, repeat=3):
-        u_abc = Poly.variable(jet(a, b, c))
-        for i, j, k in itertools.product(rng, repeat=3):
-            out = out + (U[a - 1][i - 1] * U[b - 1][j - 1] * U[c - 1][k - 1]
-                         * u_abc * Poly.variable(jet(i, j, k)))
-    return out
+    rng = range(n)
+    third = {idx: Poly.variable(jet(*(i + 1 for i in idx)))
+             for idx in itertools.product(rng, repeat=3)}
+    w = third
+    for slot in range(3):
+        w = {idx: sum((U[idx[slot]][i] * w[(*idx[:slot], i, *idx[slot + 1:])]
+                       for i in rng), Poly.zero())
+             for idx in w}
+    return sum((third[idx] * w[idx] for idx in third), Poly.zero())
 
 
 def _fourth_order_contraction(n: int) -> Poly:

@@ -422,11 +422,21 @@ def taylor_rows(ds: DeterminingSystem, n: int, order: int
     shifts = _exponents(n, 0, order)
     rows = []
     for eq in ds.equations:
-        terms = [(comp, (*map(xs.count, range(1, n + 1)), du), lam)
-                 for (((_, comp, xs, du), _),), lam in eq.term_pairs()]
-        rows += ({(comp, tuple(map(add, alpha, beta))): lam
-                  for comp, alpha, lam in terms} for beta in shifts)
+        terms = _taylor_terms(eq, n)
+        rows += (_shifted(terms, beta) for beta in shifts)
     return rows
+
+
+def _taylor_terms(eq: Poly, n: int) -> list[tuple[int, tuple[int, ...], int | Fraction]]:
+    """The (comp, alpha, coefficient) terms of a determining equation."""
+    return [(comp, (*map(xs.count, range(1, n + 1)), du), lam)
+            for (((_, comp, xs, du), _),), lam in eq.term_pairs()]
+
+
+def _shifted(terms, beta: tuple[int, ...]) -> dict:
+    """The row d^beta of an equation given by its `_taylor_terms`."""
+    return {(comp, tuple(map(add, alpha, beta))): lam
+            for comp, alpha, lam in terms}
 
 
 def degree_certified(ds: DeterminingSystem, n: int, degree: int,
@@ -457,7 +467,9 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
     degree <= degree solving the determining system.
 
     A degree-K field has no Taylor coefficient of order > K: its equations
-    are `taylor_rows(ds, n, K)` without those columns.  Scaling column
+    are `taylor_rows(ds, n, K)` without those columns.  A row d^beta(eq)
+    keeps a column only when (lowest order in eq) + |beta| <= K, so only
+    those rows are built, in the same order.  Scaling column
     (comp, alpha) by alpha! makes the unknowns the monomial coefficients,
     ordered xi^1..xi^n, phi, each over the sorted exponents.  The count is
     the whole algebra when `degree_certified` holds at some degree <= K.
@@ -471,10 +483,13 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
     col_of = {c: k for k, c in enumerate(itertools.product(comps, exps))}
     scale = {a: prod(map(factorial, a)) for a in exps}
     rows = {}  # integer primitive form -> row, so copies are dropped
-    for row in taylor_rows(ds, n, degree):
-        kept = integer_primitive({col_of[c]: v * scale[c[1]]
-                                  for c, v in row.items() if c in col_of})
-        if kept:
+    for eq in ds.equations:
+        terms = _taylor_terms(eq, n)
+        low = min((sum(alpha) for _, alpha, _ in terms), default=degree + 1)
+        for beta in _exponents(n, 0, degree - low):
+            kept = integer_primitive({col_of[c]: v * scale[c[1]]
+                                      for c, v in _shifted(terms, beta).items()
+                                      if c in col_of})
             rows[frozenset(kept.items())] = kept
     dim, basis = nullspace(list(rows.values()), len(col_of))
     variables = (*map(coord, range(1, n + 1)), DEP)

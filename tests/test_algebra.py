@@ -287,6 +287,89 @@ class TestEvaluate:
         assert (p * q).evaluate(env) == p.evaluate(env) * q.evaluate(env)
 
 
+# -- the integer interior of products and substitution -------------------------------
+#
+# The oracle keeps a polynomial as {sorted (atom, exponent) pairs: Fraction}
+# and multiplies term by term, so it shares no code with the packed,
+# denominator-cleared kernels.
+
+def naive(p: Poly) -> dict:
+    return {pairs: Fraction(c) for pairs, c in p.term_pairs()}
+
+
+def naive_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for a, e in m2:
+                exps[a] = exps.get(a, 0) + e
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_substitute(p: dict, mapping: dict) -> dict:
+    out: dict = {}
+    for pairs, c in p.items():
+        piece = {tuple((a, e) for a, e in pairs if a not in mapping): c}
+        for a, e in pairs:
+            for _ in range(e if a in mapping else 0):
+                piece = naive_mul(piece, mapping[a])
+        for m, v in piece.items():
+            out[m] = out.get(m, 0) + v
+    return {m: c for m, c in out.items() if c}
+
+
+def canonical(p: Poly) -> bool:
+    """No zero coefficient, every integral one an int, every other one a
+    Fraction."""
+    return all(c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+               for c in p.terms.values())
+
+
+small_polys = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(ATOM_POOL),
+                        st.integers(min_value=1, max_value=3), max_size=2
+                        ).map(lambda d: tuple(d.items())),
+        exact_numbers),
+    min_size=0, max_size=3,
+).map(Poly.from_terms)
+mappings = st.dictionaries(st.sampled_from(ATOM_POOL), small_polys, max_size=3)
+
+
+class TestIntegerInterior:
+    @given(value_polys, value_polys)
+    @example(Poly.const(Fraction(1, 2)) * x1, Poly.const(2) * u)
+    @example(Fraction(1, 3) * x1 + Fraction(2, 3), Fraction(3, 2) * x1 - 1)
+    @settings(max_examples=150)
+    def test_mul_matches_fraction_reference(self, p, q):
+        got = p * q
+        assert naive(got) == naive_mul(naive(p), naive(q))
+        assert canonical(got)
+
+    @given(value_polys, mappings)
+    @example(Fraction(1, 2) * x1 * u ** 2 + 3 * u,
+             {DEP: Fraction(2, 3) * x1 + Fraction(1, 3)})
+    @example(x1 ** 2 + u, {coord(1): Poly.const(Fraction(1, 2)),
+                           DEP: Poly.const(Fraction(-1, 4))})
+    @settings(max_examples=150)
+    def test_substitute_matches_fraction_reference(self, p, mapping):
+        got = p.substitute_atoms(mapping)
+        want = naive_substitute(naive(p), {a: naive(q) for a, q in mapping.items()})
+        assert naive(got) == want
+        assert canonical(got)
+
+    @pytest.mark.parametrize("c", [1, Fraction(1, 2)])
+    def test_chained_substitution_past_exp_max(self, c):
+        # 100 + 100 sets x1's guard bit; 100 + 100 + 100 would carry past it
+        # into the next field, so every product of the chain is checked
+        p = c * x1 ** 100 * u * th
+        with pytest.raises(ExponentOverflowError):
+            p.substitute_atoms({DEP: x1 ** 100, THETA: c * x1 ** 100})
+
+
 class TestSymbolicMatrices:
     def hessian(self, n):
         return [[Poly.variable(jet(i, j)) for j in range(1, n + 1)]
