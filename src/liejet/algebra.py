@@ -47,6 +47,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
@@ -103,6 +104,11 @@ def func_partial(comp: int, xs: Iterable[int] = (), du: int = 0) -> Atom:
     if comp < 0 or du < 0:
         raise ValueError("bad function-derivative atom")
     return (KIND_FUNC, comp, tuple(sorted(xs)), du)
+
+
+def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
+    """All sorted multi-indices with entries in 1..n of the given order."""
+    return list(combinations_with_replacement(range(1, n + 1), order))
 
 
 def atom_str(a: Atom) -> str:
@@ -612,6 +618,23 @@ def _as_poly(value) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     raise TypeError(f"cannot coerce {value!r} to Poly")
+
+
+def poly_sum(polys: Iterable[Poly]) -> Poly:
+    """The sum of the polynomials, accumulated in one term map: the same
+    terms, in the same order, as adding them one at a time, without
+    copying the running sum at every step."""
+    rest = iter(polys)
+    out = dict(next(rest, Poly({})).terms)
+    get = out.get
+    for p in rest:
+        for m, c in p.terms.items():
+            v = get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return Poly(_tidy(out))
 
 
 def point_partial(p: Poly, xs: Iterable[int] = (), du: int = 0) -> Poly:

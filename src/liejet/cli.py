@@ -18,44 +18,25 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import Poly, THETA, atom_str, coord, poly_str
-from .dsl import (
-    format_vector_field,
-    parse_expression,
-    parse_vector_field,
-)
+# Only what argument parsing and every subcommand share is imported here;
+# each subcommand imports the rest of the engine itself, so a process loads
+# (and, without a bytecode cache, compiles) only the modules it runs.
+from .algebra import KIND_JET, Poly, THETA, atom_str, coord, poly_str
 from .equations import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     JetPoint,
     PdeSystem,
     build_affine_maximal,
     build_monge_ampere,
     sample_on_variety,
 )
-from .groups import (
-    GroupElement,
-    SolutionSample,
-    act,
-    make_am_element,
-    residual,
-    residual_polynomial,
-    solution_family,
-    transport_local,
-)
-from .jets import KIND_JET, prolong_explicit, prolong_recursive
-from .symmetry import (
-    CheckReport,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    NotClosedError,
-    ansatz_dimension,
-    closure_check,
-    expected_dimension,
-    extract_determining,
-    affine_maximal_basis,
-    infinitesimal_check,
-    monge_ampere_basis,
-)
+
+if TYPE_CHECKING:
+    from .groups import GroupElement, SolutionSample
+    from .symmetry import CheckReport
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "LIEJET_SEED"
@@ -120,6 +101,7 @@ def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem
     if eq == "custom":
         if not expr:
             raise ValueError("--expr is required for a custom equation")
+        from .dsl import parse_expression
         F = parse_expression(expr, config.n)
         if config.theta is not None:
             F = F.subs(THETA, Poly.const(config.theta))
@@ -206,6 +188,8 @@ def _text(config: SessionConfig) -> bool:
 
 
 def cmd_prolong(args, config: SessionConfig, em: _Emitter) -> int:
+    from .dsl import parse_vector_field
+    from .jets import prolong_explicit, prolong_recursive
     with open(args.field, encoding="utf-8") as fh:
         v = parse_vector_field(fh.read(), config.n)
     pf = prolong_recursive(v, args.order)
@@ -234,6 +218,8 @@ def cmd_prolong(args, config: SessionConfig, em: _Emitter) -> int:
 
 
 def cmd_check(args, config: SessionConfig, em: _Emitter) -> int:
+    from .dsl import parse_vector_field
+    from .symmetry import infinitesimal_check
     sys_ = _build_system(config, args.eq, args.expr)
     with open(args.field, encoding="utf-8") as fh:
         v = parse_vector_field(fh.read(), config.n)
@@ -251,6 +237,8 @@ def cmd_check(args, config: SessionConfig, em: _Emitter) -> int:
 
 
 def cmd_classify(args, config: SessionConfig, em: _Emitter) -> int:
+    from .dsl import format_vector_field
+    from .symmetry import ansatz_dimension, expected_dimension
     sys_ = _build_system(config, args.eq, None)
     dim, basis = ansatz_dimension(sys_, config.ansatz_degree)
     expected = expected_dimension(args.eq, config.n, sys_.theta)
@@ -270,6 +258,7 @@ def cmd_classify(args, config: SessionConfig, em: _Emitter) -> int:
 
 
 def cmd_determining(args, config: SessionConfig, em: _Emitter) -> int:
+    from .symmetry import extract_determining
     sys_ = _build_system(config, args.eq, None)
     if args.eq == "am" and config.theta is None:
         raise ValueError("determining listing needs --theta p/q for am")
@@ -286,6 +275,12 @@ def cmd_determining(args, config: SessionConfig, em: _Emitter) -> int:
 
 
 def cmd_bracket_table(args, config: SessionConfig, em: _Emitter) -> int:
+    from .symmetry import (
+        NotClosedError,
+        affine_maximal_basis,
+        closure_check,
+        monge_ampere_basis,
+    )
     if args.basis == "ma":
         basis = monge_ampere_basis(config.n)
     elif args.basis == "am-generic":
@@ -310,6 +305,7 @@ def cmd_bracket_table(args, config: SessionConfig, em: _Emitter) -> int:
 
 
 def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
+    from .groups import solution_family
     name, _, rest = spec.partition(":")
     if name == "quadratic":
         if rest in ("identity", "", None):
@@ -332,6 +328,7 @@ def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
 
 
 def _load_element(path: str, n: int) -> GroupElement:
+    from .groups import make_am_element
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -354,6 +351,7 @@ def _element_numbers(value, name: str, n: int) -> list[Fraction]:
 
 
 def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:
+    from .groups import act
     if args.points < 1:
         raise ValueError("points must be >= 1")
     sys_ = _build_system(config, args.eq, None)
@@ -376,6 +374,7 @@ def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:
 
 def _exact_local_orbit(g: GroupElement, s: SolutionSample, sys_: PdeSystem,
                        count: int) -> dict:
+    from .groups import transport_local
     # exact: the images of rational source points, and the cleared residual
     # polynomial as the certificate
     tr = transport_local(g, s, sys_)
@@ -399,6 +398,7 @@ _FD_TOLERANCE = 1e-8
 
 def _transformed_orbit(transformed: SolutionSample, sys_: PdeSystem,
                        count: int) -> dict:
+    from .groups import residual, residual_polynomial
     pts = _orbit_points(transformed, count)
     if transformed.kind == "polynomial":
         # the polynomial is the certificate and gives the point values too

@@ -27,12 +27,12 @@ from .algebra import (
     THETA,
     coord,
     jet,
+    multi_indices,
+    poly_sum,
     rat_det,
     sym_adjugate,
     sym_det,
 )
-from .jets import multi_indices
-
 
 class SamplingExhaustedError(RuntimeError):
     """The per-point resampling budget was exhausted."""
@@ -130,18 +130,11 @@ def _cofactors(n: int) -> list[list[Poly]]:
 def _contraction_v(n: int) -> Poly:
     # det^3 * u^a_{ai} u^{bi}_b  ==  U^{ij} w_i w_j with w_i = U^{ab} u_{abi}
     U = _cofactors(n)
-    w = {}
-    for c in range(1, n + 1):
-        acc = Poly.zero()
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                acc = acc + U[a - 1][b - 1] * Poly.variable(jet(a, b, c))
-        w[c] = acc
-    out = Poly.zero()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out = out + U[i - 1][j - 1] * w[i] * w[j]
-    return out
+    rng = range(1, n + 1)
+    w = {c: poly_sum(U[a - 1][b - 1] * Poly.variable(jet(a, b, c))
+                     for a in rng for b in rng)
+         for c in rng}
+    return poly_sum(U[i - 1][j - 1] * w[i] * w[j] for i in rng for j in rng)
 
 
 def _contraction_z(n: int) -> Poly:
@@ -153,20 +146,18 @@ def _contraction_z(n: int) -> Poly:
              for idx in itertools.product(rng, repeat=3)}
     w = third
     for slot in range(3):
-        w = {idx: sum((U[idx[slot]][i] * w[(*idx[:slot], i, *idx[slot + 1:])]
-                       for i in rng), Poly.zero())
+        w = {idx: poly_sum(U[idx[slot]][i] * w[(*idx[:slot], i, *idx[slot + 1:])]
+                           for i in rng)
              for idx in w}
-    return sum((third[idx] * w[idx] for idx in third), Poly.zero())
+    return poly_sum(third[idx] * w[idx] for idx in third)
 
 
 def _fourth_order_contraction(n: int) -> Poly:
     # U^{ij} U^{kl} u_{ijkl}
     U = _cofactors(n)
     rng = range(1, n + 1)
-    out = Poly.zero()
-    for i, j, k, l in itertools.product(rng, repeat=4):
-        out = out + U[i - 1][j - 1] * U[k - 1][l - 1] * Poly.variable(jet(i, j, k, l))
-    return out
+    return poly_sum(U[i - 1][j - 1] * U[k - 1][l - 1] * Poly.variable(jet(i, j, k, l))
+                    for i, j, k, l in itertools.product(rng, repeat=4))
 
 
 def named_contraction(name: str, n: int) -> Poly:
@@ -182,6 +173,10 @@ def named_contraction(name: str, n: int) -> Poly:
 
 _DENOMS = (1, 2, 3)
 RESAMPLE_BUDGET = 100
+# the sampler's default seed, and the default number of sampled points of an
+# invariance check
+DEFAULT_SEED = 20250601
+DEFAULT_TRIALS = 100
 
 
 def _rand_q(rng: random.Random) -> Fraction:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import (
     Atom,
@@ -28,6 +28,7 @@ from .algebra import (
     Poly,
     coord,
     jet,
+    multi_indices,
     point_partial,
     rat_det,
     solve_exact,
@@ -35,7 +36,9 @@ from .algebra import (
     sym_det,
 )
 from .equations import PdeSystem, leading_minors_positive
-from .jets import VectorField, multi_indices
+
+if TYPE_CHECKING:
+    from .jets import VectorField
 
 
 class DetNotOneError(ValueError):

@@ -35,6 +35,7 @@ from .algebra import (
     func_partial,
     jet,
     mono_pairs,
+    multi_indices,
     point_partial,
 )
 
@@ -132,11 +133,6 @@ def _base_components(v: Field) -> tuple[list[Poly], Poly]:
         phi = Poly.variable(func_partial(0))
         return xi, phi
     return list(v.xi), v.phi
-
-
-def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
-    """All sorted multi-indices with entries in 1..n of the given order."""
-    return list(itertools.combinations_with_replacement(range(1, n + 1), order))
 
 
 def _uj(*idx: int) -> Poly:
@@ -433,11 +429,15 @@ def prolong_explicit(v: Field, k: int) -> ProlongedField:
     _, phi = _base_components(v)
     coeffs: dict[tuple[int, ...], Poly] = {(): phi}
     concrete = isinstance(v, VectorField)
+    values: dict[Atom, Poly] = {}  # each formal derivative's value, once
     for order in range(1, k + 1):
         for J in multi_indices(n, order):
             c = _explicit_symbolic_coeff(n, J)
             if concrete:
-                c = c.substitute_atoms(func_partial_values(v, c.atoms()))
+                atoms = c.atoms()
+                values.update(func_partial_values(v, atoms - values.keys()))
+                c = c.substitute_atoms({a: values[a] for a in atoms
+                                        if a in values})
             coeffs[J] = c
     return ProlongedField(base=v, order=k, coeffs=coeffs)
 

@@ -47,6 +47,8 @@ from .algebra import (
     tuple_order,
 )
 from .equations import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     JetPoint,
     PdeSystem,
     sample_point,
@@ -58,9 +60,6 @@ from .jets import (
     apply_prolonged,
     func_partial_values,
 )
-
-DEFAULT_TRIALS = 100
-DEFAULT_SEED = 20250601
 
 VERDICT_IDENTICAL = "identically-zero"
 VERDICT_MULTIPLIER = "multiplier-found"

@@ -24,6 +24,7 @@ from liejet.algebra import (
     mono_pairs,
     nullspace,
     poly_str,
+    poly_sum,
     solve_exact,
     sym_adjugate,
     sym_det,
@@ -359,6 +360,19 @@ class TestIntegerInterior:
         got = p.substitute_atoms(mapping)
         want = naive_substitute(naive(p), {a: naive(q) for a, q in mapping.items()})
         assert naive(got) == want
+        assert canonical(got)
+
+    @given(st.lists(value_polys, max_size=6))
+    @example([x1 + Fraction(1, 2), -x1 + u, x1 + Fraction(1, 2)])
+    @example([])
+    @settings(max_examples=150)
+    def test_sum_matches_repeated_addition(self, ps):
+        # the same terms in the same order, so no output can tell them apart
+        want = Poly.zero()
+        for p in ps:
+            want = want + p
+        got = poly_sum(iter(ps))
+        assert list(got.terms.items()) == list(want.terms.items())
         assert canonical(got)
 
     @pytest.mark.parametrize("c", [1, Fraction(1, 2)])

@@ -194,7 +194,6 @@ class TestOrbit:
             return inner(*args)
 
         monkeypatch.setattr(groups, "residual_polynomial", counting)
-        monkeypatch.setattr(cli, "residual_polynomial", counting)
         code, rep = run_json(capsys, [
             "--n", "2", "--theta", "3/4", "--output", "json",
             "orbit", "--eq", "am", "--element", element_file,
@@ -331,6 +330,52 @@ def test_closed_pipe_is_not_a_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
+
+
+# Runs the CLI as `python -m liejet.cli` does, then prints the engine
+# modules the process loaded on the last line of stderr.
+_LOADED_MODULES = """
+import json, runpy, sys
+sys.argv[0] = "liejet"
+try:
+    runpy.run_module("liejet.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(
+    m[len("liejet."):] for m in sys.modules if m.startswith("liejet."))}),
+    file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["orbit", "--eq", "am", "--theta", "3/4", "--element", "shear.json",
+      "--solution", "quadratic:diag=1,2", "--points", "1"],
+     {"algebra", "equations", "groups"}),
+    (["sample", "--eq", "ma", "--count", "1"], {"algebra", "equations"}),
+    (["check", "--eq", "ma", "--field", "v5.vf"],
+     {"algebra", "equations", "jets", "symmetry", "dsl"}),
+    (["classify", "--eq", "ma"],
+     {"algebra", "equations", "jets", "symmetry", "dsl"}),
+], ids=["orbit", "sample", "check", "classify"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, modules):
+    # without a bytecode cache every imported module is compiled again in
+    # every process, so a subcommand must not import engine code it never runs
+    (tmp_path / "shear.json").write_text(json.dumps(
+        {"Q": [["1", "0"], ["0", "1"]], "P": ["1/10", "0"],
+         "regime": "am-special"}))
+    (tmp_path / "v5.vf").write_text("xi1 = 2*x1; xi2 = 0; phi = 2*u")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, "--n", "2", *argv,
+         "--output", "json"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert loaded["code"] == 0
+    assert set(loaded["modules"]) == modules
+    if argv[0] != "orbit":
+        assert "groups" not in loaded["modules"]
+    if argv[0] in ("orbit", "sample"):
+        assert not {"symmetry", "jets", "dsl"} & set(loaded["modules"])
 
 
 class TestSample:
