@@ -34,6 +34,7 @@ from .algebra import (
     sym_det,
 )
 
+
 class SamplingExhaustedError(RuntimeError):
     """The per-point resampling budget was exhausted."""
 
