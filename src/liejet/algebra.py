@@ -2,14 +2,16 @@
 
 Coefficients are `int` when integral and `fractions.Fraction` otherwise;
 every operation is exact, a float coefficient is refused, and identity
-checks reduce to dictionary comparison.  `Poly.__mul__`,
-`Poly.substitute_atoms`, `Poly.evaluate` and `jets.apply_prolonged` keep
-an integer interior, the fraction-free idea of Bareiss: they clear
-denominators once per call (`denominator_lcm`; per factor in a product,
-per mapped value and per term over one common denominator in a
-substitution), work in `int` and divide each result once at the end.  The
-scale is a nonzero integer, undone exactly, so values and terms are those
-of `Fraction` arithmetic.
+checks reduce to dictionary comparison.  A `Poly` stores one form, its
+packed term map, and derives one other, `Poly.integer_form`: the terms
+times the lcm L of their denominators, all `int`, computed once per
+polynomial (an all-`int` polynomial is its own integer form, with L = 1).
+Products, substitution, evaluation, `denominator_lcm`,
+`jets.apply_prolonged` and `symmetry.extract_determining` read it and so
+keep an integer interior, the fraction-free idea of Bareiss: they work in
+`int` and divide each result once at the end.  The scale is a nonzero
+integer, undone exactly, so values and terms are those of `Fraction`
+arithmetic.
 
 Atoms (the variables of the ring) are plain tuples with a small integer
 kind tag, so they hash fast and sort with the native tuple order:
@@ -34,11 +36,13 @@ own EXP_BITS-bit field the first time it is seen, so multiplying two
 monomials is one integer addition, and collecting by a set of atoms is a
 bit mask.  The top bit of every field is a guard: an exponent above
 EXP_MAX raises ExponentOverflowError instead of spilling into the next
-field.  Field positions depend on the order in which a process first met
-its atoms, so no result may depend on them: every ordering (printing,
-leading terms, sorted listings) goes through the decode view `mono_pairs`,
-which returns a monomial as its (atom, exponent) pairs sorted by atom.  A
-Poly maps monomials to nonzero coefficients, the zero polynomial being the
+field.  Kernels that read exponents walk a monomial's fields with
+`_fields`, in field order.  Field positions depend on the order in which a
+process first met its atoms, so no result may depend on them: every
+ordering (printing, leading terms, sorted listings) goes through
+`mono_pairs`, which returns a monomial as its (atom, exponent) pairs sorted
+by atom, and is used only where text or an atom order is produced.  A Poly
+maps monomials to nonzero coefficients, the zero polynomial being the
 empty map.
 """
 
@@ -50,7 +54,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 KIND_COORD = 0
 KIND_DEP = 1
@@ -166,16 +170,19 @@ def _check_exponents(monos: Iterable[Monomial]) -> None:
         raise ExponentOverflowError(f"an exponent exceeds {EXP_MAX}")
 
 
-def mono_pairs(m: Monomial) -> Pairs:
-    """The (atom, exponent) pairs of a monomial, sorted by atom."""
-    out = []
+def _fields(m: Monomial) -> Iterator[tuple[Atom, int]]:
+    """The (atom, exponent) pairs of a monomial in field order, highest
+    field first."""
     while m:
         sh = (m.bit_length() - 1) // EXP_BITS * EXP_BITS
         e = m >> sh
-        out.append((_ATOM_AT[sh // EXP_BITS], e))
+        yield _ATOM_AT[sh // EXP_BITS], e
         m ^= e << sh
-    out.sort()
-    return tuple(out)
+
+
+def mono_pairs(m: Monomial) -> Pairs:
+    """The (atom, exponent) pairs of a monomial, sorted by atom."""
+    return tuple(sorted(_fields(m)))
 
 
 def lex_order(atoms: Iterable[Atom]) -> Callable[[Monomial], bytes]:
@@ -225,18 +232,22 @@ def _mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Monomial:
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Immutable by convention: no method mutates `terms`, and instances may be
-    shared freely across threads.  Monomials are only meaningful inside the
-    process that packed them.
+    `terms` is the one stored form; `integer_form` is the one derived form,
+    computed on first use and kept.  Monomials are decoded only at the
+    edges (`mono_pairs`, `sorted_terms`).  Immutable by convention: no
+    method mutates `terms`, and instances may be shared freely across
+    threads.  Monomials are only meaningful inside the process that packed
+    them.
     """
 
-    __slots__ = ("terms", "_pairs")
+    __slots__ = ("terms", "_int")
 
     def __init__(self, terms: dict[Monomial, int | Fraction]):
         # Trusted constructor: `terms` must be canonical (no zero
         # coefficients, integral ones as int, monomials packed by this
         # module).  Use the classmethods otherwise.
         self.terms = terms
+        self._int = None
 
     # -- construction ------------------------------------------------------
 
@@ -272,16 +283,30 @@ class Poly:
         return not self.terms
 
     def term_pairs(self) -> list[tuple[Pairs, int | Fraction]]:
-        """The terms in order, each monomial decoded by `mono_pairs`
-        (computed once per polynomial)."""
-        try:
-            return self._pairs
-        except AttributeError:
-            self._pairs = [(mono_pairs(m), c) for m, c in self.terms.items()]
-            return self._pairs
+        """The terms in order, each monomial decoded by `mono_pairs`: a
+        view for tests and callers, not read by any kernel."""
+        return [(mono_pairs(m), c) for m, c in self.terms.items()]
+
+    def integer_form(self) -> tuple[dict[Monomial, int], int]:
+        """(L * terms, L), L the lcm of the coefficient denominators: every
+        coefficient an int.  Computed once; an all-`int` polynomial returns
+        its own `terms` and 1."""
+        form = self._int
+        if form is None:
+            terms = self.terms
+            dens = {c.denominator for c in terms.values() if type(c) is not int}
+            if not dens:
+                form = terms, 1
+            else:
+                L = lcm(*dens)
+                form = ({m: c * L if type(c) is int
+                         else c.numerator * (L // c.denominator)
+                         for m, c in terms.items()}, L)
+            self._int = form
+        return form
 
     def atoms(self) -> set[Atom]:
-        return {a for a, _ in mono_pairs(reduce(or_, self.terms, 0))}
+        return {a for a, _ in _fields(reduce(or_, self.terms, 0))}
 
     def max_jet_order(self) -> int:
         return max((len(a[1]) for a in self.atoms() if a[0] == KIND_JET),
@@ -349,12 +374,8 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly({})
         # integer interior: each factor over its own denominator lcm
-        left, right = self.terms, other.terms
-        l1, l2 = _denominator(left), _denominator(right)
-        if l1 != 1:
-            left = _scaled_terms(left, l1)
-        if l2 != 1:
-            right = _scaled_terms(right, l2)
+        left, l1 = self.integer_form()
+        right, l2 = other.integer_form()
         out: dict[Monomial, int] = {}
         get = out.get
         items = right.items()
@@ -406,8 +427,8 @@ class Poly:
         atom."""
         out: dict[Monomial, int | Fraction] = {}
         images: dict[Atom, Poly] = {}
-        for (m, c), (pairs, _) in zip(self.terms.items(), self.term_pairs()):
-            for a, e in pairs:
+        for m, c in self.terms.items():
+            for a, e in _fields(m):
                 da = images.get(a)
                 if da is None:
                     da = images[a] = image(a)
@@ -431,43 +452,43 @@ class Poly:
     def substitute_atoms(self, mapping: Mapping[Atom, "Poly"]) -> "Poly":
         """Replace every occurrence of the mapped atoms, re-expanding.
 
-        The expansion runs in integers.  With L the lcm of the coefficient
-        denominators, L_a that of the value of atom a and t_a the largest
-        exponent of a, a term c * r * prod a^e is the integer polynomial
-        (L c) * r * prod (L_a a)^e * L_a^(t_a - e) over the common
-        denominator L * prod L_a^t_a, by which every output term is divided
-        once.
+        The expansion runs in integer forms.  With L the lcm of the
+        coefficient denominators, L_a that of the value of atom a and t_a
+        the largest exponent of a, a term c * r * prod a^e is the integer
+        polynomial (L c) * r * prod (L_a a)^e * L_a^(t_a - e) over the
+        common denominator L * prod L_a^t_a, by which every output term is
+        divided once.
         """
         if not mapping or not self.terms:
             return self
         mask = _field_mask(mapping)
-        scales = {a: _denominator(q.terms) for a, q in mapping.items()}
-        cleared = {a: Poly(_scaled_terms(q.terms, scales[a]))
-                   for a, q in mapping.items()}
+        forms = {a: q.integer_form() for a, q in mapping.items()}
+        cleared = {a: Poly(t) for a, (t, _) in forms.items()}
         spare = 1  # prod L_a^t_a
-        for a, s in scales.items():
+        for a, (_, s) in forms.items():
             if s != 1:
                 sh = _SHIFT[a]
                 spare *= s ** max((m >> sh) & _FIELD_MASK for m in self.terms)
-        scale = _denominator(self.terms)
+        terms, scale = self.integer_form()
         out: dict[Monomial, int] = {}
         powcache: dict[tuple[Atom, int], tuple[Poly, int]] = {}
-        for m, c in _scaled_terms(self.terms, scale).items():
+        for m, c in terms.items():
             hit = m & mask
             if not hit:
                 pieces = {m: c * spare}
             else:
                 factors = []
                 used = 1  # prod L_a^e, a divisor of `spare`
-                for a, e in mono_pairs(hit):
+                for a, e in _fields(hit):
                     got = powcache.get((a, e))
                     if got is None:
                         got = powcache[(a, e)] = (cleared[a] ** e,
-                                                  scales[a] ** e)
+                                                  forms[a][1] ** e)
                     factors.append(got[0])
                     used *= got[1]
                 piece = Poly({m ^ hit: c * (spare // used)})
-                for q in factors:
+                # smallest factor first keeps the partial products small
+                for q in sorted(factors, key=lambda q: len(q.terms)):
                     piece = piece * q
                 pieces = piece.terms
             for mm, cc in pieces.items():
@@ -482,8 +503,8 @@ class Poly:
         """Exact value under a full atom assignment.
 
         The sum runs in integers: with the atom values over one common
-        denominator D, x_a = n_a / D, and L the lcm of the coefficient
-        denominators, a term c * prod x_a^e of degree d is the integer
+        denominator D, x_a = n_a / D, and (L c) the terms of the integer
+        form, a term c * prod x_a^e of degree d is the integer
         (L c) * prod n_a^e * D^(dmax - d) over L D^dmax.  One division of
         the integer sum by L D^dmax gives the term-by-term rational sum.
 
@@ -501,12 +522,11 @@ class Poly:
                                 f"got float {q!r} for {atom_str(a)}")
         D = lcm(*(q.denominator for q in values.values()))
         num = {a: q.numerator * D // q.denominator for a, q in values.items()}
-        L = denominator_lcm(self)
+        terms, L = self.integer_form()
         by_degree: dict[int, int] = {}
-        for m, c in self.term_pairs():
-            v = c if L == 1 else c.numerator * (L // c.denominator)
+        for m, v in terms.items():
             d = 0
-            for a, e in m:
+            for a, e in _fields(m):
                 v *= num[a] ** e
                 d += e
             by_degree[d] = by_degree.get(d, 0) + v
@@ -516,9 +536,9 @@ class Poly:
 
     def evaluate_float(self, env: Mapping[Atom, float]) -> float:
         total = 0.0
-        for m, c in self.term_pairs():
+        for m, c in self.terms.items():
             v = float(c)
-            for a, e in m:
+            for a, e in _fields(m):
                 try:
                     v *= env[a] ** e
                 except KeyError:
@@ -559,25 +579,6 @@ def _tidy(out: dict) -> dict:
     return {m: c if type(c) is int else _canon(c) for m, c in out.items() if c}
 
 
-def _denominator(terms: dict) -> int:
-    """The lcm of the coefficient denominators of a term map; one pass
-    when every coefficient is an int."""
-    for c in terms.values():
-        if type(c) is not int:
-            return lcm(*{c.denominator for c in terms.values()
-                         if type(c) is not int})
-    return 1
-
-
-def _scaled_terms(terms: dict, scale: int) -> dict[Monomial, int]:
-    """A term map times `scale`, a multiple of its `_denominator`, so every
-    coefficient is an int."""
-    if scale == 1:
-        return terms
-    return {m: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
-            for m, c in terms.items()}
-
-
 def _divided(out: dict[Monomial, int], den: int) -> dict:
     """Integer sums over a positive denominator as canonical terms: zeros
     dropped, each coefficient divided once."""
@@ -609,7 +610,7 @@ def exact_quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
 def denominator_lcm(*polys: Poly) -> int:
     """The lcm of the coefficient denominators of the polynomials: the least
     positive integer that makes every coefficient integral."""
-    return lcm(*(_denominator(p.terms) for p in polys))
+    return lcm(*(p.integer_form()[1] for p in polys))
 
 
 def _as_poly(value) -> Poly:

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
     from .symmetry import CheckReport
 
 SCHEMA_VERSION = 1
-SEED_ENV_VAR = "LIEJET_SEED"
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,6 @@ def _parse_theta(text: str) -> Fraction | None:
         ) from None
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
-
-
 def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem:
     if eq == "ma":
         return build_monge_ampere(config.n)
@@ -110,8 +105,7 @@ def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem
         if order == 0:
             raise ValueError("a custom equation must involve jet variables")
         return PdeSystem(n=config.n, order=order, F=F, top_var=top,
-                         convexity_required=True, name="custom",
-                         theta=config.theta)
+                         convexity_required=True, theta=config.theta)
     raise ValueError(f"unknown equation {eq!r}")
 
 
@@ -463,9 +457,8 @@ def _add_common_options(ap, root: bool) -> None:
     ap.add_argument("--n", type=int, help="space dimension N", **default(2))
     ap.add_argument("--theta", help="exact rational p/q or 'sym' (default)",
                     **default("sym"))
-    ap.add_argument("--seed", type=int,
-                    help=f"sampling seed (default ${SEED_ENV_VAR} or "
-                         f"{DEFAULT_SEED})", **default(None))
+    ap.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})",
+                    **default(DEFAULT_SEED))
     ap.add_argument("--trials", type=int, **default(DEFAULT_TRIALS))
     ap.add_argument("--degree", type=int, help="ansatz degree", **default(2))
     ap.add_argument("--output", choices=("text", "json"), **default("text"))
@@ -532,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         config = SessionConfig(
             n=args.n,
             theta=_parse_theta(args.theta),
-            seed=args.seed if args.seed is not None else _default_seed(),
+            seed=args.seed,
             trials=args.trials,
             ansatz_degree=args.degree,
             output=args.output,

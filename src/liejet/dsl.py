@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import DEP, Poly, THETA, coord, jet, poly_str
-from .jets import JetInCoefficientError, VectorField
+from .jets import VectorField
 
 
 class ParseError(ValueError):
@@ -262,12 +262,7 @@ def parse_vector_field(text: str, n: int) -> VectorField:
                              f"xi1..xi{n}, phi)", head.line, head.col)
         if name in seen:
             raise ParseError(f"duplicate component {name!r}", head.line, head.col)
-        p = _parse_all(stmt[2:], n)
-        for a in p.atoms():
-            if a[0] not in (0, 1):  # only Coord and Dep allowed
-                raise JetInCoefficientError(
-                    f"component {name} may only involve x1..x{n} and u")
-        seen[name] = p
+        seen[name] = _parse_all(stmt[2:], n)
     xi = tuple(seen.get(f"xi{i}", Poly.zero()) for i in range(1, n + 1))
     phi = seen.get("phi", Poly.zero())
     return VectorField(n, xi, phi)

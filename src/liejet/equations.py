@@ -53,7 +53,6 @@ class PdeSystem:
     F: Poly
     top_var: Atom
     convexity_required: bool
-    name: str = "custom"
     theta: Fraction | None = None
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ def build_monge_ampere(n: int) -> PdeSystem:
     """det D^2 u = 1 as the polynomial det(jet Hessian) - 1."""
     F = sym_det(hessian_matrix(n)) - 1
     return PdeSystem(n=n, order=2, F=F, top_var=jet(n, n),
-                     convexity_required=True, name="ma")
+                     convexity_required=True)
 
 
 def _theta_poly(theta) -> tuple[Poly, Fraction | None]:
@@ -121,7 +120,7 @@ def build_affine_maximal(n: int, theta=None) -> PdeSystem:
          - det * _fourth_order_contraction(n)
          + _contraction_z(n))
     return PdeSystem(n=n, order=4, F=F, top_var=jet(1, 1, 1, 1),
-                     convexity_required=True, name="am", theta=tvalue)
+                     convexity_required=True, theta=tvalue)
 
 
 def _cofactors(n: int) -> list[list[Poly]]:

@@ -26,6 +26,7 @@ from .algebra import (
     KIND_COORD,
     KIND_JET,
     Poly,
+    _fields,
     coord,
     jet,
     multi_indices,
@@ -246,10 +247,8 @@ class SolutionSample:
         return out
 
 
-def polynomial_sample(n: int, p: Poly, center: Sequence[float] = None,
-                      radius: float = math.inf) -> SolutionSample:
-    c = tuple(center) if center is not None else (0.0,) * n
-    return SolutionSample(n=n, kind="polynomial", poly=p, center=c, radius=radius)
+def polynomial_sample(n: int, p: Poly) -> SolutionSample:
+    return SolutionSample(n=n, kind="polynomial", poly=p, center=(0.0,) * n)
 
 
 def solution_family(name: str, params: dict) -> SolutionSample:
@@ -361,13 +360,14 @@ def _affine_parts(p: Poly, n: int, what: str) -> tuple[list[Fraction], Fraction,
     xs = [Fraction(0)] * n
     uc = Fraction(0)
     const = Fraction(0)
-    for m, c in p.term_pairs():
-        if m == ():
+    for m, c in p.terms.items():
+        pairs = list(_fields(m))
+        if not pairs:
             const = c
-        elif len(m) == 1 and m[0][1] == 1 and m[0][0][0] == 0:  # coord atom
-            xs[m[0][0][1] - 1] = c
-        elif len(m) == 1 and m[0][1] == 1 and m[0][0] == DEP:
+        elif pairs == [(DEP, 1)]:
             uc = c
+        elif len(pairs) == 1 and pairs[0][1] == 1 and pairs[0][0][0] == KIND_COORD:
+            xs[pairs[0][0][1] - 1] = c
         else:
             raise NotAffineError(f"{what} is not affine in (x, u)")
     return xs, uc, const
@@ -564,8 +564,8 @@ def transport_local(g: GroupElement, s: SolutionSample,
         elif a[0] == KIND_COORD:
             mapping[a] = image[a[1] - 1]
     by_weight: dict[int, dict] = {}
-    for (m, c), (pairs, _) in zip(sys.F.terms.items(), sys.F.term_pairs()):
-        w = sum(e * (2 * len(a[1]) - 1) for a, e in pairs if a[0] == KIND_JET)
+    for m, c in sys.F.terms.items():
+        w = sum(e * (2 * len(a[1]) - 1) for a, e in _fields(m) if a[0] == KIND_JET)
         by_weight.setdefault(w, {})[m] = c
     power = max(by_weight, default=0)
     cleared = Poly.zero()
@@ -606,8 +606,7 @@ def _stencil_accuracy(order: int, npoints: int) -> int:
 _NPOINTS = {1: 9, 2: 9, 3: 11, 4: 13}
 
 
-def _fd_apply(fn, x: list[float], groups: list[tuple[int, int]], h: float,
-              npoints: int | None = None) -> float:
+def _fd_apply(fn, x: list[float], groups: list[tuple[int, int]], h: float) -> float:
     """Nested 1-D central stencils for a mixed partial derivative.
 
     `groups` lists (axis, order) pairs; directions commute so the stencils
@@ -617,7 +616,7 @@ def _fd_apply(fn, x: list[float], groups: list[tuple[int, int]], h: float,
         return fn(x)
     axis, order = groups[0]
     rest = groups[1:]
-    w = _central_weights(order, npoints or _NPOINTS[order])
+    w = _central_weights(order, _NPOINTS[order])
     r = len(w) // 2
     acc = 0.0
     for k in range(-r, r + 1):
@@ -626,7 +625,7 @@ def _fd_apply(fn, x: list[float], groups: list[tuple[int, int]], h: float,
             continue
         xk = list(x)
         xk[axis] += k * h
-        acc += wk * _fd_apply(fn, xk, rest, h, npoints)
+        acc += wk * _fd_apply(fn, xk, rest, h)
     return acc / h ** order
 
 
@@ -684,8 +683,8 @@ def _fd_tableau(fn, x: list[float], groups: list[tuple[int, int]], p: int,
     return best, besterr
 
 
-def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int,
-                  h0: float | None = None) -> dict[Atom, float]:
+def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int
+                  ) -> dict[Atom, float]:
     """All jet coordinates of a callable sample at a point, by finite
     differences; includes the base coordinates and the function value.
 
@@ -710,13 +709,12 @@ def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int,
         return val
 
     env[DEP] = sample(x)
-    if h0 is None:
-        h0 = 0.32
-        if math.isfinite(s.radius):
-            # keep the widest stencil (reach 6 h) inside the domain hint
-            off = max(abs(float(a) - float(b)) for a, b in zip(x, s.center))
-            room = max(s.radius - off, s.radius / 4)
-            h0 = min(0.32, room / 6.5)
+    h0 = 0.32
+    if math.isfinite(s.radius):
+        # keep the widest stencil (reach 6 h) inside the domain hint
+        off = max(abs(float(a) - float(b)) for a, b in zip(x, s.center))
+        room = max(s.radius - off, s.radius / 4)
+        h0 = min(0.32, room / 6.5)
     for r in range(1, order + 1):
         for J in multi_indices(n, r):
             val, _err = fd_derivative(sample, x, J, h0=h0)
@@ -724,18 +722,22 @@ def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int,
     return env
 
 
+_FLOW_EPS = Fraction(1, 10000)
+_FLOW_TOL = 1e-6
+
+
 def flow_derivative_matches(v: VectorField, s: SolutionSample,
-                            points: Sequence[Sequence[float]],
-                            eps: Fraction = Fraction(1, 10000),
-                            tol: float = 1e-6) -> bool:
+                            points: Sequence[Sequence[float]]) -> bool:
     """Check d/de at e=0 of the transported solution against the field.
 
     The infinitesimal change of the function under the flow is
-    phi(x, u) - xi(x, u) . grad u; compare with a central difference of the
-    finite action, which is exact in the group parameter up to O(eps^2).
+    phi(x, u) - xi(x, u) . grad u; compare, to within _FLOW_TOL, with a
+    central difference of the finite action at the step _FLOW_EPS, which is
+    exact in the group parameter up to O(eps^2).
     The field's flow must be global (xi free of u), since `act` refuses
     local elements.
     """
+    eps = _FLOW_EPS
     gp = exponentiate(v, eps)
     gm = exponentiate(v, -eps)
     sp = act(gp, s)
@@ -749,6 +751,6 @@ def flow_derivative_matches(v: VectorField, s: SolutionSample,
         want = v.phi.evaluate_float(envf) - sum(
             v.xi[i].evaluate_float(envf) * grad[i] for i in range(v.n))
         got = (sp(x) - sm(x)) / (2 * float(eps))
-        if abs(got - want) > tol:
+        if abs(got - want) > _FLOW_TOL:
             return False
     return True

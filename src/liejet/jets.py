@@ -30,11 +30,11 @@ from .algebra import (
     Monomial,
     Poly,
     atom_str,
+    _fields,
     coord,
     denominator_lcm,
     func_partial,
     jet,
-    mono_pairs,
     multi_indices,
     point_partial,
 )
@@ -118,12 +118,10 @@ Field = VectorField | SymbolicVectorField
 class ProlongedField:
     """Lift of a field to jet space: coefficients per sorted multi-index.
 
-    `coeffs` maps every sorted index tuple of order 0..order to a Poly; the
-    empty tuple maps to phi itself.
+    `coeffs` maps every sorted index tuple up to the prolongation order to
+    a Poly; the empty tuple maps to phi itself.
     """
 
-    base: Field
-    order: int
     coeffs: dict[tuple[int, ...], Poly]
 
 
@@ -183,7 +181,7 @@ def prolong_recursive(v: Field, k: int) -> ProlongedField:
             for s in range(1, n + 1):
                 c = c + xi[s - 1] * Poly.variable(jet(*J, s))
             coeffs[J] = c
-    return ProlongedField(base=v, order=k, coeffs=coeffs)
+    return ProlongedField(coeffs=coeffs)
 
 
 # -- circle summation and the explicit closed formulas --------------------------
@@ -228,7 +226,7 @@ def _relabel(terms: dict[Monomial, int | Fraction], indices: Sequence[int]) -> P
     """Generic terms re-instantiated at the actual index values."""
     relabel = dict(zip(_GENERIC, indices))
     return Poly.from_terms(
-        (((_relabel_atom(a, relabel), e) for a, e in mono_pairs(mono)), c)
+        (((_relabel_atom(a, relabel), e) for a, e in _fields(mono)), c)
         for mono, c in terms.items())
 
 
@@ -439,7 +437,7 @@ def prolong_explicit(v: Field, k: int) -> ProlongedField:
                 c = c.substitute_atoms({a: values[a] for a in atoms
                                         if a in values})
             coeffs[J] = c
-    return ProlongedField(base=v, order=k, coeffs=coeffs)
+    return ProlongedField(coeffs=coeffs)
 
 
 def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
@@ -451,8 +449,9 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     reproduces the unrestricted-index summation convention.
 
     The result is linear in v and in F, so a concrete field is prolonged as
-    lambda*v on L*F, lambda and L the lcms of their coefficient
-    denominators, entirely in `int`, and divided by lambda*L once.  That is
+    lambda*v on L*F, lambda the lcm of the field's coefficient denominators
+    and L*F the integer form of F, entirely in `int`, and divided by
+    lambda*L once.  That is
     the same polynomial, terms in the same order: a sum cancels in the
     scaled run exactly where it cancels in the rational one.
     """
@@ -461,10 +460,11 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
         raise OrderTooLowError(
             f"prolongation order {k} < equation order {max_order}")
     if isinstance(v, VectorField):
-        lam, L = denominator_lcm(*v.xi, v.phi), denominator_lcm(F)
+        lam = denominator_lcm(*v.xi, v.phi)
+        terms, L = F.integer_form()
         if lam * L != 1:
             v = VectorField(v.n, tuple(p * lam for p in v.xi), v.phi * lam)
-            return _apply_prolonged(v, F * L, k) * Fraction(1, lam * L)
+            return _apply_prolonged(v, Poly(terms), k) * Fraction(1, lam * L)
     return _apply_prolonged(v, F, k)
 
 

@@ -18,7 +18,6 @@ checks that a basis of generators closes under the Lie bracket.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -34,9 +33,9 @@ from .algebra import (
     KIND_FUNC,
     Monomial,
     Poly,
+    _fields,
     atom_str,
     coord,
-    denominator_lcm,
     divide_exact,
     exact_quotient,
     integer_primitive,
@@ -88,7 +87,6 @@ class CheckReport:
     samples: int
     seed: int
     trials: int
-    timing_ms: float
     multiplier: Poly | None = None
     witness: JetPoint | None = None
     residual: Fraction | None = None
@@ -146,26 +144,19 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t0 = time.perf_counter()
     R = apply_prolonged(v, sys.F, sys.order)
     if R.is_zero:
-        return CheckReport(VERDICT_IDENTICAL, 0, seed, trials,
-                           _ms(t0))
+        return CheckReport(VERDICT_IDENTICAL, 0, seed, trials)
     mu = divide_exact(R, sys.F)
     if mu is not None:
-        return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials,
-                           _ms(t0), multiplier=mu)
+        return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials, multiplier=mu)
     for idx in range(trials):
         pt = sample_point(sys, seed, idx)
         value = R.evaluate(pt.env)
         if value != 0:
-            return CheckReport(VERDICT_FAILS, idx, seed, trials, _ms(t0),
+            return CheckReport(VERDICT_FAILS, idx, seed, trials,
                                witness=pt, residual=value)
-    return CheckReport(VERDICT_ON_VARIETY, trials, seed, trials, _ms(t0))
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
+    return CheckReport(VERDICT_ON_VARIETY, trials, seed, trials)
 
 
 def check_generator_basis(sys: PdeSystem, basis: GeneratorBasis,
@@ -357,8 +348,8 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     cleared by a power of its coefficient), and the coefficient of every
     monomial in the remaining jet variables becomes one linear equation.
 
-    F is first multiplied by the lcm L of its coefficient denominators, so
-    every product stays in `int`.  That leaves the output unchanged: F ->
+    F is replaced by its integer form L*F, L the lcm of its coefficient
+    denominators, so every product stays in `int`.  That leaves the output unchanged: F ->
     L*F scales the residual, the coefficient of the top variable and the
     rest by L, so the cleared polynomial and every equation become L^(m+1)
     times their old values, and the system is homogeneous and each equation
@@ -374,9 +365,8 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
         raise ExplicitVariableError(
             f"F holds {atom_str(explicit[0])} explicitly; a determining "
             "system is extracted only for an F without x or u")
-    L = denominator_lcm(sys.F)
-    F = sys.F * L
-    R = apply_prolonged(SymbolicVectorField(sys.n), F, sys.order)
+    terms, L = sys.F.integer_form()
+    R = apply_prolonged(SymbolicVectorField(sys.n), Poly(terms), sys.order)
     A, B = (p * L for p in sys.top_split)  # F = A * top + B
     powers = R.coefficient_powers(sys.top_var)
     m = max(powers)
@@ -428,8 +418,11 @@ def taylor_rows(ds: DeterminingSystem, n: int, order: int
 
 def _taylor_terms(eq: Poly, n: int) -> list[tuple[int, tuple[int, ...], int | Fraction]]:
     """The (comp, alpha, coefficient) terms of a determining equation."""
-    return [(comp, (*map(xs.count, range(1, n + 1)), du), lam)
-            for (((_, comp, xs, du), _),), lam in eq.term_pairs()]
+    out = []
+    for m, lam in eq.terms.items():
+        [((_, comp, xs, du), _)] = _fields(m)  # one func atom per term
+        out.append((comp, (*map(xs.count, range(1, n + 1)), du), lam))
+    return out
 
 
 def _shifted(terms, beta: tuple[int, ...]) -> dict:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from liejet import algebra
 from liejet.algebra import (
     DEP,
     EXP_MAX,
@@ -30,6 +32,15 @@ from liejet.algebra import (
     sym_det,
     tuple_order,
 )
+from liejet.equations import build_affine_maximal
+from liejet.groups import (
+    make_am_element,
+    polynomial_sample,
+    residual_polynomial,
+    solution_family,
+    transport_local,
+)
+from liejet.jets import VectorField, apply_prolonged
 from conftest import leibniz_hessian_det
 
 x1 = Poly.variable(coord(1))
@@ -375,6 +386,21 @@ class TestIntegerInterior:
         assert list(got.terms.items()) == list(want.terms.items())
         assert canonical(got)
 
+    @given(value_polys)
+    @example(Poly.zero())
+    @example(Fraction(1, 6) * x1 + Fraction(3, 4) * u - 2)
+    @example(Fraction(4, 2) * x1 + 3)
+    @settings(max_examples=150)
+    def test_integer_form_matches_fraction_reference(self, p):
+        terms, L = p.integer_form()
+        assert L == math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+        assert all(type(c) is int for c in terms.values())
+        assert list(terms) == list(p.terms)
+        assert {m: Fraction(c, L) for m, c in terms.items()} == p.terms
+        # an all-int polynomial is its own integer form, not a copy
+        assert (terms is p.terms) == all(type(c) is int for c in p.terms.values())
+        assert p.integer_form() is p.integer_form()
+
     @pytest.mark.parametrize("c", [1, Fraction(1, 2)])
     def test_chained_substitution_past_exp_max(self, c):
         # 100 + 100 sets x1's guard bit; 100 + 100 + 100 would carry past it
@@ -382,6 +408,40 @@ class TestIntegerInterior:
         p = c * x1 ** 100 * u * th
         with pytest.raises(ExponentOverflowError):
             p.substitute_atoms({DEP: x1 ** 100, THETA: c * x1 ** 100})
+
+
+# -- kernels read packed monomials, never the sorted decode --------------------------
+
+def graph_shear_run(theta):
+    """Verdicts and residuals of the N=2 AM graph shear xi1 = u at theta,
+    through every kernel that reads exponents."""
+    am = build_affine_maximal(2, theta)
+    R = apply_prolonged(VectorField(2, (u, Poly.zero()), Poly.zero()),
+                        am.F, am.order)
+    env = {a: Fraction(k + 2, 2 * k + 3) for k, a in enumerate(sorted(R.atoms()))}
+    shear = make_am_element([[1, 0], [0, 1]], [Fraction(1, 10), 0], [0, 0], 1,
+                            [0, 0], 0, regime="am-special")
+    s = solution_family("quadratic", {"M": [[1, 0], [0, 2]]})
+    point, value = transport_local(shear, s, am).at(
+        [Fraction(1, 20), Fraction(-1, 30)])
+    rp = residual_polynomial(polynomial_sample(2, x1 ** 4 + x1 * x2 ** 2), am)
+    return (divide_exact(R, am.F) is not None, R.evaluate(env),
+            R.evaluate_float({a: float(v) for a, v in env.items()}),
+            point, value, rp.terms)
+
+
+class TestPackedReads:
+    @pytest.mark.parametrize("theta, symmetry", [(Fraction(3, 4), True),
+                                                 (Fraction(1), False)])
+    def test_no_kernel_decodes_sorted_pairs(self, theta, symmetry, monkeypatch):
+        want = graph_shear_run(theta)
+        assert want[0] == symmetry and (want[4] == 0) == symmetry
+
+        def refuse(m):
+            raise AssertionError("a kernel decoded a monomial with mono_pairs")
+
+        monkeypatch.setattr(algebra, "mono_pairs", refuse)
+        assert graph_shear_run(theta) == want
 
 
 class TestSymbolicMatrices:

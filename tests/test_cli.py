@@ -409,16 +409,6 @@ class TestSample:
         _, rep2 = run_json(capsys, ["--seed", "2"] + base)
         assert rep1["results"] != rep2["results"]
 
-    def test_seed_env_var_default(self, capsys, monkeypatch):
-        base = ["--n", "2", "--output", "json", "sample", "--eq", "ma",
-                "--count", "2"]
-        monkeypatch.setenv("LIEJET_SEED", "12345")
-        _, from_env = run_json(capsys, base)
-        monkeypatch.delenv("LIEJET_SEED")
-        _, from_flag = run_json(capsys, ["--seed", "12345"] + base)
-        assert from_env["results"] == from_flag["results"]
-        assert from_env["config"]["seed"] == 12345
-
 
 class TestProlong:
     def test_coefficients_with_explicit_diff(self, capsys, tmp_path):

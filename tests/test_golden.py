@@ -95,6 +95,5 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
     for file_name, text in files.items():
         (tmp_path / file_name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LIEJET_SEED", raising=False)
     assert main([*argv, "--output", "json"]) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
