@@ -457,7 +457,8 @@ def _add_common_options(ap, root: bool) -> None:
     ap.add_argument("--n", type=int, help="space dimension N", **default(2))
     ap.add_argument("--theta", help="exact rational p/q or 'sym' (default)",
                     **default("sym"))
-    ap.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})",
+    ap.add_argument("--seed", type=int,
+                    help=f"sampling seed (default {DEFAULT_SEED})",
                     **default(DEFAULT_SEED))
     ap.add_argument("--trials", type=int, **default(DEFAULT_TRIALS))
     ap.add_argument("--degree", type=int, help="ansatz degree", **default(2))

@@ -732,14 +732,13 @@ def flow_derivative_matches(v: VectorField, s: SolutionSample,
 
     The infinitesimal change of the function under the flow is
     phi(x, u) - xi(x, u) . grad u; compare, to within _FLOW_TOL, with a
-    central difference of the finite action at the step _FLOW_EPS, which is
-    exact in the group parameter up to O(eps^2).
+    central difference of the finite action at the step eps = _FLOW_EPS,
+    which is exact in the group parameter up to O(eps^2).
     The field's flow must be global (xi free of u), since `act` refuses
     local elements.
     """
-    eps = _FLOW_EPS
-    gp = exponentiate(v, eps)
-    gm = exponentiate(v, -eps)
+    gp = exponentiate(v, _FLOW_EPS)
+    gm = exponentiate(v, -_FLOW_EPS)
     sp = act(gp, s)
     sm = act(gm, s)
     for pt in points:
@@ -750,7 +749,7 @@ def flow_derivative_matches(v: VectorField, s: SolutionSample,
         envf[DEP] = u0
         want = v.phi.evaluate_float(envf) - sum(
             v.xi[i].evaluate_float(envf) * grad[i] for i in range(v.n))
-        got = (sp(x) - sm(x)) / (2 * float(eps))
+        got = (sp(x) - sm(x)) / (2 * float(_FLOW_EPS))
         if abs(got - want) > _FLOW_TOL:
             return False
     return True

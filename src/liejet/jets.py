@@ -451,9 +451,9 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     The result is linear in v and in F, so a concrete field is prolonged as
     lambda*v on L*F, lambda the lcm of the field's coefficient denominators
     and L*F the integer form of F, entirely in `int`, and divided by
-    lambda*L once.  That is
-    the same polynomial, terms in the same order: a sum cancels in the
-    scaled run exactly where it cancels in the rational one.
+    lambda*L once.  That is the same polynomial, terms in the same order: a
+    sum cancels in the scaled run exactly where it cancels in the rational
+    one.
     """
     max_order = F.max_jet_order()
     if k < max_order:

@@ -349,11 +349,11 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     monomial in the remaining jet variables becomes one linear equation.
 
     F is replaced by its integer form L*F, L the lcm of its coefficient
-    denominators, so every product stays in `int`.  That leaves the output unchanged: F ->
-    L*F scales the residual, the coefficient of the top variable and the
-    rest by L, so the cleared polynomial and every equation become L^(m+1)
-    times their old values, and the system is homogeneous and each equation
-    is scaled to leading coefficient 1.
+    denominators, so every product stays in `int`.  That leaves the output
+    unchanged: F -> L*F scales the residual, the coefficient of the top
+    variable and the rest by L, so the cleared polynomial and every
+    equation become L^(m+1) times their old values, and the system is
+    homogeneous and each equation is scaled to leading coefficient 1.
 
     An F with x or u is refused: the func atoms depend on (x, u), so
     collecting by x or u would split an equation into wrong ones.
