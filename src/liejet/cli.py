@@ -105,7 +105,7 @@ def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem
         if order == 0:
             raise ValueError("a custom equation must involve jet variables")
         return PdeSystem(n=config.n, order=order, F=F, top_var=top,
-                         convexity_required=True, theta=config.theta)
+                         theta=config.theta)
     raise ValueError(f"unknown equation {eq!r}")
 
 
@@ -120,12 +120,8 @@ def _choose_top_var(F: Poly):
     return max(candidates, key=lambda a: (len(a[1]), a))
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
 def _jetpoint_dict(pt: JetPoint) -> dict:
-    return {atom_str(a): _rat(v) for a, v in sorted(pt.env.items())}
+    return {atom_str(a): str(v) for a, v in sorted(pt.env.items())}
 
 
 def _report_dict(rep: CheckReport) -> dict:
@@ -141,7 +137,7 @@ def _report_dict(rep: CheckReport) -> dict:
     if rep.witness is not None:
         out["witness"] = _jetpoint_dict(rep.witness)
     if rep.residual is not None:
-        out["residual"] = _rat(rep.residual)
+        out["residual"] = str(rep.residual)
     return out
 
 
@@ -287,7 +283,7 @@ def cmd_bracket_table(args, config: SessionConfig, em: _Emitter) -> int:
         if _text(config):
             print(f"NOT CLOSED at pair {exc.pair}")
         return em.emit([{"closed": False, "pair": list(exc.pair)}], 1)
-    constants = {f"{i},{j}": [_rat(c) for c in coeffs]
+    constants = {f"{i},{j}": [str(c) for c in coeffs]
                  for (i, j), coeffs in sorted(rep.structure_constants.items())}
     if _text(config):
         print(f"basis {args.basis}: closed, "
@@ -381,7 +377,7 @@ def _exact_local_orbit(g: GroupElement, s: SolutionSample, sys_: PdeSystem,
         "delta_power": tr.power,
         "source_points": [[str(c) for c in p] for p in sources],
         "points": [[str(c) for c in p] for p in points],
-        "residuals": [_rat(v) for v in values],
+        "residuals": [str(v) for v in values],
         "passed": tr.cleared.is_zero,
     }
 
@@ -403,7 +399,7 @@ def _transformed_orbit(transformed: SolutionSample, sys_: PdeSystem,
             "kind": "polynomial",
             "residual_polynomial_zero": rp.is_zero,
             "points": [[str(c) for c in p] for p in pts],
-            "residuals": [_rat(v) for v in values],
+            "residuals": [str(v) for v in values],
             "passed": rp.is_zero,
         }
     # callables only come from P = 0 elements: act refuses local ones
@@ -460,7 +456,8 @@ def _add_common_options(ap, root: bool) -> None:
     ap.add_argument("--seed", type=int,
                     help=f"sampling seed (default {DEFAULT_SEED})",
                     **default(DEFAULT_SEED))
-    ap.add_argument("--trials", type=int, **default(DEFAULT_TRIALS))
+    ap.add_argument("--trials", type=int, **default(DEFAULT_TRIALS),
+                    help="sampled points searched for a failure witness")
     ap.add_argument("--degree", type=int, help="ansatz degree", **default(2))
     ap.add_argument("--output", choices=("text", "json"), **default("text"))
 

@@ -52,7 +52,6 @@ class PdeSystem:
     order: int
     F: Poly
     top_var: Atom
-    convexity_required: bool
     theta: Fraction | None = None
 
     def __post_init__(self):
@@ -74,6 +73,15 @@ class PdeSystem:
         return parts.get(1, Poly.zero()), parts.get(0, Poly.zero())
 
 
+def eliminate_top(R: Poly, A: Poly, B: Poly, top_var: Atom) -> Poly:
+    """A^m * R(top_var = -B/A), m the degree of R in top_var: zero exactly
+    when R vanishes on the part A != 0 of F = A * top_var + B = 0."""
+    powers = R.coefficient_powers(top_var)
+    m = max(powers, default=0)
+    return sum((c * (-B) ** r * A ** (m - r) for r, c in powers.items()),
+               Poly.zero())
+
+
 @dataclass(frozen=True)
 class JetPoint:
     """Exact rational assignment to all jet coordinates up to some order."""
@@ -93,8 +101,7 @@ def hessian_matrix(n: int) -> list[list[Poly]]:
 def build_monge_ampere(n: int) -> PdeSystem:
     """det D^2 u = 1 as the polynomial det(jet Hessian) - 1."""
     F = sym_det(hessian_matrix(n)) - 1
-    return PdeSystem(n=n, order=2, F=F, top_var=jet(n, n),
-                     convexity_required=True)
+    return PdeSystem(n=n, order=2, F=F, top_var=jet(n, n))
 
 
 def _theta_poly(theta) -> tuple[Poly, Fraction | None]:
@@ -119,8 +126,7 @@ def build_affine_maximal(n: int, theta=None) -> PdeSystem:
     F = (tpoly * _contraction_v(n)
          - det * _fourth_order_contraction(n)
          + _contraction_z(n))
-    return PdeSystem(n=n, order=4, F=F, top_var=jet(1, 1, 1, 1),
-                     convexity_required=True, theta=tvalue)
+    return PdeSystem(n=n, order=4, F=F, top_var=jet(1, 1, 1, 1), theta=tvalue)
 
 
 def _cofactors(n: int) -> list[list[Poly]]:
@@ -240,7 +246,7 @@ def sample_point(sys: PdeSystem, seed: int, index: int) -> JetPoint:
             continue
         env[sys.top_var] = t
         pt = JetPoint(env=env)
-        if sys.convexity_required and not leading_minors_positive(pt.hessian(n)):
+        if not leading_minors_positive(pt.hessian(n)):
             continue
         if sys.F.evaluate(env) != 0:  # exact check of the defining property
             continue

@@ -5,8 +5,8 @@ equation F = 0, in increasing order of cost:
 
   * does the prolonged field annihilate F identically as a polynomial?
   * if not, is the result an exact polynomial multiple of F?
-  * if not, does it vanish exactly at random rational points of the
-    solution variety (with a nonzero witness as disproof otherwise)?
+  * if not, does it vanish on the solution variety?  A sampled nonzero
+    value is an exact witness; without one, top-variable elimination decides.
 
 On top of that it extracts the linear determining system for the unknown
 coefficient functions.  Its derivatives, one sparse matrix on the Taylor
@@ -50,6 +50,7 @@ from .equations import (
     DEFAULT_TRIALS,
     JetPoint,
     PdeSystem,
+    eliminate_top,
     sample_point,
 )
 from .jets import (
@@ -81,7 +82,8 @@ class NotClosedError(Exception):
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one infinitesimal invariance check."""
+    """Outcome of one infinitesimal invariance check; `witness` and
+    `residual` are None on a `fails` that elimination decided."""
 
     verdict: str
     samples: int
@@ -137,10 +139,11 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
                         seed: int = DEFAULT_SEED) -> CheckReport:
     """Decide whether a field generates a symmetry of the equation.
 
-    Identically-zero and multiplier verdicts are exact certificates; the
-    sampling verdict is exact per point, with the first nonzero value
-    returned as a rational witness of failure.  Trial i depends only on
-    (seed, i).
+    Every verdict is exact.  Past the identically-zero and multiplier tiers,
+    `trials` sampled points (point i depends only on (seed, i)) are searched
+    for a nonzero value of R = pr v(F), a rational witness.  With none, R with
+    the top variable eliminated decides on the A != 0 part of F = 0; nonzero,
+    it is nonzero near the convex points drawn there, so the field fails.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -156,7 +159,9 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
         if value != 0:
             return CheckReport(VERDICT_FAILS, idx, seed, trials,
                                witness=pt, residual=value)
-    return CheckReport(VERDICT_ON_VARIETY, trials, seed, trials)
+    if eliminate_top(R, *sys.top_split, sys.top_var).is_zero:
+        return CheckReport(VERDICT_ON_VARIETY, trials, seed, trials)
+    return CheckReport(VERDICT_FAILS, trials, seed, trials)
 
 
 def check_generator_basis(sys: PdeSystem, basis: GeneratorBasis,
@@ -367,12 +372,7 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
             "system is extracted only for an F without x or u")
     terms, L = sys.F.integer_form()
     R = apply_prolonged(SymbolicVectorField(sys.n), Poly(terms), sys.order)
-    A, B = (p * L for p in sys.top_split)  # F = A * top + B
-    powers = R.coefficient_powers(sys.top_var)
-    m = max(powers)
-    cleared = Poly.zero()
-    for r, c_r in powers.items():
-        cleared = cleared + c_r * (-B) ** r * A ** (m - r)
+    cleared = eliminate_top(R, *(p * L for p in sys.top_split), sys.top_var)
 
     groups = cleared.collect(lambda a: not _is_func_atom(a))
     order = tuple_order(a for a in cleared.atoms() if not _is_func_atom(a))

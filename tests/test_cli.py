@@ -92,6 +92,19 @@ class TestCheck:
         assert code == 0
         assert "identically-zero" in out
 
+    def test_sampled_zero_is_not_accepted(self, capsys, tmp_path):
+        # sample 0 of seed 8 has u12 = 0, where R = -2*u12 of this field
+        # vanishes; the report has no witness, since no sample showed one
+        field = tmp_path / "v.vf"
+        field.write_text("phi = x1*x2")
+        code, rep = run_json(capsys, ["--n", "2", "--seed", "8", "--trials",
+                                      "1", "--output", "json", "check",
+                                      "--eq", "ma", "--field", str(field)])
+        assert code == 1
+        result = rep["results"][0]
+        assert result["verdict"] == "fails"
+        assert "witness" not in result and "residual" not in result
+
     def test_json_error_object(self, capsys, tmp_path):
         bad = tmp_path / "bad.vf"
         bad.write_text("phi = u[1,1]")

@@ -44,9 +44,6 @@ class TestMongeAmpereBuilder:
         assert sys.F == leibniz_hessian_det(3) - 1
         assert sys.F.max_jet_order() == 2
 
-    def test_convexity_flag(self):
-        assert build_monge_ampere(2).convexity_required
-
 
 class TestAffineMaximalBuilder:
     def test_n1_symbolic(self):
@@ -205,8 +202,7 @@ class TestSampling:
     def test_exhaustion(self):
         # a system whose top variable never occurs: unsolvable, budget hit
         F = uj(1, 1) * uj(2, 2) - uj(1, 2) ** 2 - 1
-        sys = PdeSystem(n=2, order=2, F=F, top_var=jet(1),
-                        convexity_required=False)
+        sys = PdeSystem(n=2, order=2, F=F, top_var=jet(1))
         with pytest.raises(SamplingExhaustedError):
             sample_on_variety(sys, 0, 1)
 
@@ -219,12 +215,10 @@ class TestPdeSystemInvariants:
     def test_top_var_must_be_affine(self):
         F = uj(1, 1) ** 2 - 1
         with pytest.raises(ValueError):
-            PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1),
-                      convexity_required=True)
+            PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1))
 
     def test_no_unknown_function_symbols(self):
         from liejet.algebra import func_partial
         F = Poly.variable(func_partial(0)) * uj(1, 1)
         with pytest.raises(ValueError):
-            PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1),
-                      convexity_required=False)
+            PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1))

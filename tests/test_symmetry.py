@@ -11,14 +11,21 @@ from liejet.algebra import (
     KIND_FUNC,
     Poly,
     coord,
+    divide_exact,
     exact_quotient,
     func_partial,
     integer_primitive,
     jet,
     mono_pairs,
 )
-from liejet.equations import PdeSystem, build_affine_maximal, build_monge_ampere
-from liejet.jets import VectorField
+from liejet.equations import (
+    PdeSystem,
+    build_affine_maximal,
+    build_monge_ampere,
+    eliminate_top,
+    sample_point,
+)
+from liejet.jets import VectorField, apply_prolonged
 from liejet.symmetry import (
     DeterminingSystem,
     ExplicitVariableError,
@@ -108,6 +115,50 @@ class TestInfinitesimalCheck:
     def test_trials_validation(self, ma2):
         with pytest.raises(ValueError):
             infinitesimal_check(ma2, vf(2, [ZERO, ZERO], ONE), trials=0)
+
+    def test_sampled_zero_is_not_accepted(self, ma2):
+        # u -> u + eps*x1*x2 leaves R = -2*u12, which vanishes at sample 0 of
+        # the first seed whose u12 is 0: elimination still refuses the field
+        seed = next(s for s in range(300)
+                    if sample_point(ma2, s, 0).env[jet(1, 2)] == 0)
+        rep = infinitesimal_check(ma2, vf(2, [ZERO, ZERO], x1 * x2),
+                                  trials=1, seed=seed)
+        assert rep.verdict == "fails"
+        assert rep.passed is False
+        assert rep.witness is None and rep.residual is None
+        assert rep.samples == 1
+
+
+def eliminated(sys, v):
+    R = apply_prolonged(v, sys.F, sys.order)
+    return R, eliminate_top(R, *sys.top_split, sys.top_var)
+
+
+class TestElimination:
+    def test_certifies_what_division_does_not(self):
+        # F = (det - 1)*x1: the x1-translation leaves R = det - 1, which is
+        # no polynomial multiple of F but vanishes where F = 0 and x1 != 0
+        det = (Poly.variable(jet(1, 1)) * Poly.variable(jet(2, 2))
+               - Poly.variable(jet(1, 2)) ** 2)
+        sys = PdeSystem(n=2, order=2, F=(det - 1) * x1, top_var=jet(2, 2))
+        v = vf(2, [ONE, ZERO])
+        R, cleared = eliminated(sys, v)
+        assert divide_exact(R, sys.F) is None
+        assert cleared.is_zero
+        assert infinitesimal_check(sys, v, trials=3).verdict == \
+            "zero-on-variety"
+
+    def test_agrees_with_every_multiplier(self, ma2, am2_special):
+        # tier 2 implies tier 3: R = mu*F vanishes wherever F does
+        found = 0
+        for sys, basis in ((ma2, monge_ampere_basis(2)),
+                           (am2_special, affine_maximal_basis(2, special=True))):
+            for v in basis.fields:
+                if infinitesimal_check(sys, v, trials=1).verdict == \
+                        "multiplier-found":
+                    found += 1
+                    assert eliminated(sys, v)[1].is_zero
+        assert found
 
 
 class TestGeneratorBases:
@@ -370,8 +421,7 @@ class TestDetermining:
         # u'' = x1 has the symmetry phi = u - x1^3/6, certified by an exact
         # multiplier, but collecting by x1 would split its equations wrongly
         F = Poly.variable(jet(1, 1)) - x1
-        sys = PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1),
-                        convexity_required=False)
+        sys = PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1))
         v = vf(1, [ZERO], u - Fraction(1, 6) * x1 ** 3)
         assert infinitesimal_check(sys, v, trials=3).verdict == "multiplier-found"
         with pytest.raises(ExplicitVariableError, match="x1"):
