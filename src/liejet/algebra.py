@@ -574,11 +574,6 @@ def _canon(c: int | Fraction) -> int | Fraction:
     return c.numerator
 
 
-def _tidy(out: dict) -> dict:
-    """Drop zero coefficients and store integral ones as int."""
-    return {m: c if type(c) is int else _canon(c) for m, c in out.items() if c}
-
-
 def _divided(out: dict[Monomial, int], den: int) -> dict:
     """Integer sums over a positive denominator as canonical terms: zeros
     dropped, each coefficient divided once."""
@@ -624,7 +619,7 @@ def _as_poly(value) -> Poly:
 def poly_sum(polys: Iterable[Poly]) -> Poly:
     """The sum of the polynomials, accumulated in one term map: the same
     terms, in the same order, as adding them one at a time, without
-    copying the running sum at every step."""
+    copying the running sum at every step or at the end."""
     rest = iter(polys)
     out = dict(next(rest, Poly({})).terms)
     get = out.get
@@ -635,7 +630,10 @@ def poly_sum(polys: Iterable[Poly]) -> Poly:
                 out[m] = v
             else:
                 del out[m]
-    return Poly(_tidy(out))
+    for m, c in out.items():
+        if type(c) is not int:
+            out[m] = _canon(c)
+    return Poly(out)
 
 
 def point_partial(p: Poly, xs: Iterable[int] = (), du: int = 0) -> Poly:
@@ -710,7 +708,7 @@ def divide_exact(p: Poly, q: Poly) -> Poly | None:
             return None
         qm = lt - lt_q
         qcoef = exact_quotient(rem[lt], c_q)
-        quot[qm] = quot.get(qm, 0) + qcoef
+        quot[qm] = qcoef  # lt, and so qm, strictly decreases
         for m2, c2 in q_items:
             mm = qm + m2
             if mm & guard:
@@ -720,7 +718,7 @@ def divide_exact(p: Poly, q: Poly) -> Poly | None:
                 rem[mm] = v
             else:
                 rem.pop(mm, None)
-    return Poly(_tidy(quot))
+    return Poly(quot)
 
 
 # -- symbolic matrices ---------------------------------------------------------

@@ -73,13 +73,19 @@ class PdeSystem:
         return parts.get(1, Poly.zero()), parts.get(0, Poly.zero())
 
 
+def top_weights(powers: dict[int, Poly], A: Poly, B: Poly) -> dict[int, Poly]:
+    """W_r = (-B)^r * A^(m-r) for the powers r of R = sum_r c_r * top^r, m
+    the largest: A^m * R(top = -B/A) = sum_r c_r * W_r."""
+    m = max(powers, default=0)
+    return {r: (-B) ** r * A ** (m - r) for r in powers}
+
+
 def eliminate_top(R: Poly, A: Poly, B: Poly, top_var: Atom) -> Poly:
     """A^m * R(top_var = -B/A), m the degree of R in top_var: zero exactly
     when R vanishes on the part A != 0 of F = A * top_var + B = 0."""
     powers = R.coefficient_powers(top_var)
-    m = max(powers, default=0)
-    return sum((c * (-B) ** r * A ** (m - r) for r, c in powers.items()),
-               Poly.zero())
+    weights = top_weights(powers, A, B)
+    return poly_sum(c * weights[r] for r, c in powers.items())
 
 
 @dataclass(frozen=True)

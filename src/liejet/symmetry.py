@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import reduce
 from math import factorial, prod
-from operator import add
-from typing import Iterable
+from operator import add, itemgetter, or_
+from typing import Callable
 
 from .algebra import (
     Atom,
@@ -33,7 +33,9 @@ from .algebra import (
     KIND_FUNC,
     Monomial,
     Poly,
+    _check_exponents,
     _fields,
+    _shift,
     atom_str,
     coord,
     divide_exact,
@@ -52,6 +54,7 @@ from .equations import (
     PdeSystem,
     eliminate_top,
     sample_point,
+    top_weights,
 )
 from .jets import (
     Field,
@@ -150,9 +153,11 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
     R = apply_prolonged(v, sys.F, sys.order)
     if R.is_zero:
         return CheckReport(VERDICT_IDENTICAL, 0, seed, trials)
-    mu = divide_exact(R, sys.F)
+    (r_terms, lam), (f_terms, L) = R.integer_form(), sys.F.integer_form()
+    mu = divide_exact(Poly(r_terms), Poly(f_terms))  # lam*R = mu * L*F
     if mu is not None:
-        return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials, multiplier=mu)
+        return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials,
+                           multiplier=mu * exact_quotient(L, lam))
     for idx in range(trials):
         pt = sample_point(sys, seed, idx)
         value = R.evaluate(pt.env)
@@ -305,43 +310,56 @@ def expected_dimension(name: str, n: int, theta: Fraction | None = None) -> int:
 
 # -- determining system ------------------------------------------------------------
 
-def _is_func_atom(a: Atom) -> bool:
-    return a[0] == KIND_FUNC
+def _add_products(groups: dict, c: Poly, w: Poly, atom_of: dict) -> None:
+    """Add the terms of c * w to `groups` by jet monomial: c is linear in the
+    func atoms, `atom_of` maps their packed monomials to them, w has none.
+    A group is an (atom, coefficient) pair until a second atom arrives, then
+    an {atom: coefficient} dict; a cancelled coefficient stays, as 0."""
+    fmask = reduce(or_, atom_of, 0)
+    get = groups.get
+    for m, cm in c.terms.items():
+        atom, jm = atom_of[m & fmask], m & ~fmask
+        for wm, wc in w.terms.items():
+            k, v = jm + wm, cm * wc
+            g = get(k)
+            if g is None:
+                groups[k] = (atom, v)
+            elif type(g) is dict:
+                g[atom] = g.get(atom, 0) + v
+            elif g[0] is atom:
+                groups[k] = (atom, g[1] + v)
+            else:
+                groups[k] = {g[0]: g[1], atom: v}
 
 
-def _linear_system(eqs: Iterable[Poly]
+def _linear_system(groups: dict, key: Callable
                    ) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
-    """Drop zero equations, scale each to leading coefficient 1 and keep the
-    first copy of each, in order; return (unknowns, equations).
-
-    The leading term is the largest monomial in the (atom, exponent) tuple
-    order; the equations share few distinct monomials, so their decoded
-    forms are memoized for the call.  A copy has the support of a kept
-    equation: a single term is a copy once its support was seen, others
-    are compared by their integer primitive form with a positive leading
-    coefficient.  Only the kept equations are scaled."""
-    lead_key = cache(mono_pairs)
-    kept: dict[frozenset, set[frozenset]] = {}  # support -> primitive forms
-    equations: list[Poly] = []
-    for eq in eqs:
-        if eq.is_zero:
-            continue
-        support = frozenset(eq.terms)
-        forms = kept.setdefault(support, set())
-        if forms and len(support) == 1:
-            continue
-        lead = max(eq.terms, key=lead_key)
-        form = integer_primitive(eq.terms)
-        if form[lead] > 0:
-            key = frozenset(form.items())
+    """(unknowns, equations) from the groups of `_add_products`: one equation
+    per class of nonzero groups that are multiples of each other, scaled to
+    leading coefficient 1 (at the largest atom), in the order of the class's
+    smallest `key`, which is sorting every group by key and keeping the
+    first copy, without the sort.  A class is the atom of a single term,
+    else the integer primitive form with a positive leading coefficient."""
+    classes: dict = {}  # atom or primitive form -> (key, terms)
+    for jm, g in groups.items():
+        terms = {a: c for a, c in (g.items() if type(g) is dict else (g,)) if c}
+        if len(terms) > 1:
+            form = integer_primitive(terms)
+            sign = 1 if form[max(form)] > 0 else -1
+            cls = frozenset((a, sign * v) for a, v in form.items())
+        elif terms:
+            [cls] = terms
         else:
-            key = frozenset((m, -v) for m, v in form.items())
-        if key in forms:
             continue
-        forms.add(key)
-        equations.append(eq * exact_quotient(1, eq.terms[lead]))
-    unknowns = sorted({a for eq in equations for a in eq.atoms()
-                       if _is_func_atom(a)})
+        k = key(jm)
+        if cls not in classes or k < classes[cls][0]:
+            classes[cls] = (k, terms)
+    equations = []
+    for _, terms in sorted(classes.values(), key=itemgetter(0)):
+        lead = terms[max(terms)]
+        equations.append(Poly({1 << _shift(a): exact_quotient(c, lead)
+                               for a, c in terms.items()}))
+    unknowns = sorted({a for eq in equations for a in eq.atoms()})
     return tuple(unknowns), tuple(equations)
 
 
@@ -352,6 +370,9 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     variable is eliminated by the exact solution of F = 0 (denominators
     cleared by a power of its coefficient), and the coefficient of every
     monomial in the remaining jet variables becomes one linear equation.
+    That cleared sum_r c_r * W_r (`top_weights`) is never built: each
+    product term goes straight to the group of its jet monomial, and copies
+    are dropped before ordering by `tuple_order`.
 
     F is replaced by its integer form L*F, L the lcm of its coefficient
     denominators, so every product stays in `int`.  That leaves the output
@@ -372,12 +393,16 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
             "system is extracted only for an F without x or u")
     terms, L = sys.F.integer_form()
     R = apply_prolonged(SymbolicVectorField(sys.n), Poly(terms), sys.order)
-    cleared = eliminate_top(R, *(p * L for p in sys.top_split), sys.top_var)
-
-    groups = cleared.collect(lambda a: not _is_func_atom(a))
-    order = tuple_order(a for a in cleared.atoms() if not _is_func_atom(a))
-    return DeterminingSystem(*_linear_system(
-        groups[k] for k in sorted(groups, key=order)))
+    powers = R.coefficient_powers(sys.top_var)
+    weights = top_weights(powers, *(p * L for p in sys.top_split))
+    atom_of = {1 << _shift(a): a for a in R.atoms() if a[0] == KIND_FUNC}
+    groups: dict = {}
+    for r, c in powers.items():
+        _add_products(groups, c, weights[r], atom_of)
+    jets = reduce(or_, groups, 0)
+    _check_exponents((jets,))
+    order = tuple_order(a for a, _ in _fields(jets))
+    return DeterminingSystem(*_linear_system(groups, order))
 
 
 def determining_residuals(ds: DeterminingSystem, v: VectorField) -> list[Poly]:

@@ -1,9 +1,13 @@
 import dataclasses
 import itertools
+import os
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liejet.algebra import (
@@ -17,6 +21,7 @@ from liejet.algebra import (
     integer_primitive,
     jet,
     mono_pairs,
+    tuple_order,
 )
 from liejet.equations import (
     PdeSystem,
@@ -25,11 +30,12 @@ from liejet.equations import (
     eliminate_top,
     sample_point,
 )
-from liejet.jets import VectorField, apply_prolonged
+from liejet.jets import SymbolicVectorField, VectorField, apply_prolonged
 from liejet.symmetry import (
     DeterminingSystem,
     ExplicitVariableError,
     GeneratorBasis,
+    _add_products,
     _linear_system,
     NotClosedError,
     affine_maximal_basis,
@@ -111,6 +117,20 @@ class TestInfinitesimalCheck:
         if rep.multiplier is not None:
             R = apply_prolonged(v, am2_special.F, 4)
             assert rep.multiplier * am2_special.F == R
+
+    def test_multiplier_of_the_integer_forms(self):
+        # theta = 4/5 gives F rational coefficients; the multiplier read from
+        # the integer forms is the rational quotient, terms in the same order
+        sys = build_affine_maximal(2, Fraction(4, 5))
+        found = 0
+        for v in affine_maximal_basis(2).fields:
+            rep = infinitesimal_check(sys, v, trials=1)
+            if rep.verdict == "multiplier-found":
+                found += 1
+                mu = divide_exact(apply_prolonged(v, sys.F, 4), sys.F)
+                assert list(rep.multiplier.terms.items()) == \
+                    list(mu.terms.items())
+        assert found
 
     def test_trials_validation(self, ma2):
         with pytest.raises(ValueError):
@@ -349,6 +369,20 @@ def equation_groups(draw):
 PHI, XI1_X1 = Poly.variable(UNKNOWN_POOL[0]), Poly.variable(UNKNOWN_POOL[1])
 
 
+def as_groups(polys):
+    """Linear equations as the groups `_linear_system` reads, keyed by their
+    position: one term as an (atom, coefficient) pair, others as a dict."""
+    groups = {}
+    for k, p in enumerate(polys):
+        terms = {mono_pairs(m)[0][0]: c for m, c in p.terms.items()}
+        groups[k] = next(iter(terms.items())) if len(terms) == 1 else terms
+    return groups
+
+
+def position(k):
+    return k
+
+
 class TestLinearSystem:
     @given(equation_groups())
     @settings(max_examples=200)
@@ -356,10 +390,124 @@ class TestLinearSystem:
     @example([PHI + XI1_X1, -2 * PHI - 2 * XI1_X1, PHI - XI1_X1, 3 * PHI,
               Fraction(-1, 2) * PHI, XI1_X1, Poly.zero()])
     def test_matches_reference(self, groups):
-        unknowns, equations = _linear_system(groups)
+        unknowns, equations = _linear_system(as_groups(groups), position)
         ref_unknowns, ref_equations = linear_system_reference(groups)
         assert unknowns == ref_unknowns
         assert list(equations) == list(ref_equations)
+
+    def test_smallest_key_orders_a_class(self):
+        # groups arrive in any order; a class sits where its first copy
+        # would be after sorting every group by key
+        groups = as_groups([XI1_X1, 2 * PHI + XI1_X1, 3 * PHI, PHI])
+        shuffled = {k: groups[k] for k in (3, 1, 0, 2)}
+        _, equations = _linear_system(shuffled, position)
+        assert list(equations) == [XI1_X1, 2 * PHI + XI1_X1, PHI]
+
+    def test_cancelled_groups(self):
+        # products for jet monomials u1, u2, u1*u2 (weights 1, u2, u1): at
+        # u1 the single atom phi cancels; at u1*u2 the atom xi1_x1 cancels
+        # and the rest, 2*phi, joins the class of 3*phi at u2
+        phi, xi = UNKNOWN_POOL[0], UNKNOWN_POOL[1]
+        atom_of = {next(iter(Poly.variable(a).terms)): a for a in (phi, xi)}
+        u1, u2 = Poly.variable(jet(1)), Poly.variable(jet(2))
+        products = [(PHI * u1, ONE), (-PHI * u1, ONE), (3 * PHI, u2),
+                    (PHI + XI1_X1, u1 * u2), (PHI - XI1_X1, u1 * u2)]
+        groups = {}
+        for c, w in products:
+            _add_products(groups, c, w, atom_of)
+        [m1], [m2] = u1.terms, u2.terms
+        assert groups[m1] == (phi, 0) and groups[m1 + m2] == {phi: 2, xi: 0}
+        order = tuple_order([jet(1), jet(2)])
+        unknowns, equations = _linear_system(groups, order)
+        assert unknowns == (phi,) and list(equations) == [PHI]
+        cleared = sum((c * w for c, w in products), Poly.zero())
+        ref = cleared.collect(lambda a: a[0] != KIND_FUNC)
+        assert linear_system_reference(
+            ref[k] for k in sorted(ref, key=order)) == (unknowns, equations)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+MEMORY_PROBE = """
+import tracemalloc
+from liejet.equations import build_monge_ampere
+from liejet.symmetry import extract_determining
+system = build_monge_ampere(5)
+tracemalloc.start()
+extract_determining(system)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def determining_reference(sys):
+    """`extract_determining` by the expanded route: the cleared polynomial,
+    collected by jet monomial, every group sorted by `tuple_order`, copies
+    dropped by `linear_system_reference`."""
+    terms, L = sys.F.integer_form()
+    R = apply_prolonged(SymbolicVectorField(sys.n), Poly(terms), sys.order)
+    cleared = eliminate_top(R, *(p * L for p in sys.top_split), sys.top_var)
+
+    def is_jet(a):
+        return a[0] != KIND_FUNC
+    groups = cleared.collect(is_jet)
+    order = tuple_order(a for a in cleared.atoms() if is_jet(a))
+    return linear_system_reference(groups[k] for k in sorted(groups, key=order))
+
+
+def assert_matches_reference(sys):
+    ds = extract_determining(sys)
+    unknowns, equations = determining_reference(sys)
+    assert ds.unknowns == unknowns
+    assert [eq.terms for eq in ds.equations] == [eq.terms for eq in equations]
+
+
+@st.composite
+def affine_jet_equations(draw):
+    """A small F = A * top + B in the jets of order 1..k (no x, u), with
+    A != 0 and neither A nor B holding the top variable."""
+    n, order = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+    top = jet(*[n] * order)
+    pool = [jet(*J) for k in range(1, order + 1)
+            for J in itertools.combinations_with_replacement(range(1, n + 1), k)
+            if jet(*J) != top]
+
+    def poly():
+        out = Poly.zero()
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            term = Poly.const(draw(nonzero_rationals))
+            for a in draw(st.lists(st.sampled_from(pool), max_size=3)):
+                term = term * Poly.variable(a)
+            out = out + term
+        return out
+    A = poly()
+    assume(not A.is_zero)
+    return PdeSystem(n=n, order=order, F=A * Poly.variable(top) + poly(),
+                     top_var=top)
+
+
+class TestDeterminingOracle:
+    """`extract_determining` against the expanded route it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ma(self, n):
+        assert_matches_reference(build_monge_ampere(n))
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(3, 4), 1, 2])
+    def test_am_n2(self, theta):
+        assert_matches_reference(build_affine_maximal(2, theta))
+
+    @given(affine_jet_equations())
+    @settings(max_examples=40, deadline=None)
+    def test_custom_equations(self, sys):
+        assert_matches_reference(sys)
+
+    def test_peak_memory(self):
+        # a fresh process, so the atoms are packed in the CLI's order; the
+        # expanded route peaked at 70 MB here, the streamed one at 23 MB
+        proc = subprocess.run(
+            [executable, "-c", MEMORY_PROBE], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 34e6
 
 
 class TestDetermining:
