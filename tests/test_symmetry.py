@@ -448,6 +448,7 @@ def determining_reference(sys):
 
     def is_jet(a):
         return a[0] != KIND_FUNC
+
     groups = cleared.collect(is_jet)
     order = tuple_order(a for a in cleared.atoms() if is_jet(a))
     return linear_system_reference(groups[k] for k in sorted(groups, key=order))
@@ -501,8 +502,9 @@ class TestDeterminingOracle:
         assert_matches_reference(sys)
 
     def test_peak_memory(self):
-        # a fresh process, so the atoms are packed in the CLI's order; the
-        # expanded route peaked at 70 MB here, the streamed one at 23 MB
+        # a fresh process, so the atoms are packed in the CLI's order; in
+        # this probe the expanded route peaked at 70 MB, the streamed one
+        # at 23 MB
         proc = subprocess.run(
             [executable, "-c", MEMORY_PROBE], capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
