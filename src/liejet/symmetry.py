@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, prod
 from operator import add, itemgetter, or_
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     Atom,
@@ -34,6 +34,7 @@ from .algebra import (
     Monomial,
     Poly,
     _check_exponents,
+    _field_mask,
     _fields,
     _shift,
     atom_str,
@@ -332,16 +333,39 @@ def _add_products(groups: dict, c: Poly, w: Poly, atom_of: dict) -> None:
                 groups[k] = {g[0]: g[1], atom: v}
 
 
-def _linear_system(groups: dict, key: Callable
+def _shards(pairs: list[tuple[Poly, Poly]], atom_of: dict) -> Iterator[dict]:
+    """The groups (`_add_products`) of the products c * w of `pairs`, one
+    shard at a time, exponents checked.  A shard atom is a jet of some c
+    but of no w, so a product's jet monomial holds those of its c-term
+    alone: shards keyed by them share no jet monomial, and each product is
+    formed once.  No shard atom makes one shard."""
+    catoms = {a for c, _ in pairs for a in c.atoms() if a[0] != KIND_FUNC}
+    watoms = {a for _, w in pairs for a in w.atoms()}
+    smask = _field_mask(catoms - watoms)
+    buckets: dict = {}  # shard -> index into pairs -> terms of that c
+    for i, (c, _) in enumerate(pairs):
+        for m, cm in c.terms.items():
+            buckets.setdefault(m & smask, {}).setdefault(i, {})[m] = cm
+    for parts in buckets.values():
+        groups: dict = {}
+        for i, cterms in parts.items():
+            _add_products(groups, Poly(cterms), pairs[i][1], atom_of)
+        _check_exponents(groups)
+        yield groups
+
+
+def _linear_system(shards: Iterable[dict], key: Callable
                    ) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
-    """(unknowns, equations) from the groups of `_add_products`: one equation
-    per class of nonzero groups that are multiples of each other, scaled to
-    leading coefficient 1 (at the largest atom), in the order of the class's
-    smallest `key`, which is sorting every group by key and keeping the
-    first copy, without the sort.  A class is the atom of a single term,
-    else the integer primitive form with a positive leading coefficient."""
+    """(unknowns, equations) from shards of `_add_products` groups that
+    share no jet monomial: one equation per class of nonzero groups that
+    are multiples of each other, scaled to leading coefficient 1 (at the
+    largest atom), in the order of the class's smallest `key`, which does
+    not depend on the order groups arrive in and is that of sorting every
+    group by key and keeping the first copy.  A class is the atom of a
+    single term, else the integer primitive form with a positive leading
+    coefficient.  Each shard is released before the next is built."""
     classes: dict = {}  # atom or primitive form -> (key, terms)
-    for jm, g in groups.items():
+    for jm, g in itertools.chain.from_iterable(map(dict.items, shards)):
         terms = {a: c for a, c in (g.items() if type(g) is dict else (g,)) if c}
         if len(terms) > 1:
             form = integer_primitive(terms)
@@ -372,7 +396,10 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     monomial in the remaining jet variables becomes one linear equation.
     That cleared sum_r c_r * W_r (`top_weights`) is never built: each
     product term goes straight to the group of its jet monomial, and copies
-    are dropped before ordering by `tuple_order`.
+    are dropped before ordering by `tuple_order`.  Products are formed and
+    folded one shard at a time (`_shards`, keyed by the first-order jets
+    for MA and AM): no jet monomial lies in two shards, so the equations
+    and their order are those of one pass over all products.
 
     F is replaced by its integer form L*F, L the lcm of its coefficient
     denominators, so every product stays in `int`.  That leaves the output
@@ -396,13 +423,10 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     powers = R.coefficient_powers(sys.top_var)
     weights = top_weights(powers, *(p * L for p in sys.top_split))
     atom_of = {1 << _shift(a): a for a in R.atoms() if a[0] == KIND_FUNC}
-    groups: dict = {}
-    for r, c in powers.items():
-        _add_products(groups, c, weights[r], atom_of)
-    jets = reduce(or_, groups, 0)
-    _check_exponents((jets,))
-    order = tuple_order(a for a, _ in _fields(jets))
-    return DeterminingSystem(*_linear_system(groups, order))
+    pairs = [(c, weights[r]) for r, c in powers.items() if not weights[r].is_zero]
+    jets = {a for p in itertools.chain(*pairs) for a in p.atoms() if a[0] != KIND_FUNC}
+    return DeterminingSystem(*_linear_system(_shards(pairs, atom_of),
+                                             tuple_order(jets)))
 
 
 def determining_residuals(ds: DeterminingSystem, v: VectorField) -> list[Poly]:

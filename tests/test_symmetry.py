@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from liejet.algebra import (
     DEP,
+    ExponentOverflowError,
     KIND_FUNC,
     Poly,
     coord,
@@ -29,6 +30,7 @@ from liejet.equations import (
     build_monge_ampere,
     eliminate_top,
     sample_point,
+    top_weights,
 )
 from liejet.jets import SymbolicVectorField, VectorField, apply_prolonged
 from liejet.symmetry import (
@@ -37,6 +39,7 @@ from liejet.symmetry import (
     GeneratorBasis,
     _add_products,
     _linear_system,
+    _shards,
     NotClosedError,
     affine_maximal_basis,
     ansatz_dimension,
@@ -390,17 +393,17 @@ class TestLinearSystem:
     @example([PHI + XI1_X1, -2 * PHI - 2 * XI1_X1, PHI - XI1_X1, 3 * PHI,
               Fraction(-1, 2) * PHI, XI1_X1, Poly.zero()])
     def test_matches_reference(self, groups):
-        unknowns, equations = _linear_system(as_groups(groups), position)
+        unknowns, equations = _linear_system([as_groups(groups)], position)
         ref_unknowns, ref_equations = linear_system_reference(groups)
         assert unknowns == ref_unknowns
         assert list(equations) == list(ref_equations)
 
     def test_smallest_key_orders_a_class(self):
-        # groups arrive in any order; a class sits where its first copy
-        # would be after sorting every group by key
+        # groups arrive in any order and shard; a class sits where its
+        # first copy would be after sorting every group by key
         groups = as_groups([XI1_X1, 2 * PHI + XI1_X1, 3 * PHI, PHI])
-        shuffled = {k: groups[k] for k in (3, 1, 0, 2)}
-        _, equations = _linear_system(shuffled, position)
+        shards = [{k: groups[k] for k in ks} for ks in ((3, 1), (0,), (2,))]
+        _, equations = _linear_system(shards, position)
         assert list(equations) == [XI1_X1, 2 * PHI + XI1_X1, PHI]
 
     def test_cancelled_groups(self):
@@ -418,7 +421,7 @@ class TestLinearSystem:
         [m1], [m2] = u1.terms, u2.terms
         assert groups[m1] == (phi, 0) and groups[m1 + m2] == {phi: 2, xi: 0}
         order = tuple_order([jet(1), jet(2)])
-        unknowns, equations = _linear_system(groups, order)
+        unknowns, equations = _linear_system([groups], order)
         assert unknowns == (phi,) and list(equations) == [PHI]
         cleared = sum((c * w for c, w in products), Poly.zero())
         ref = cleared.collect(lambda a: a[0] != KIND_FUNC)
@@ -504,12 +507,55 @@ class TestDeterminingOracle:
     def test_peak_memory(self):
         # a fresh process, so the atoms are packed in the CLI's order; in
         # this probe the expanded route peaked at 70 MB, the streamed one
-        # at 23 MB
+        # at 23-25 MB, the sharded one at 5 MB
         proc = subprocess.run(
             [executable, "-c", MEMORY_PROBE], capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 34e6
+        assert int(proc.stdout) < 10e6
+
+
+def products(sys):
+    """The (c_r, W_r) pairs with W_r != 0 and the func atom map that
+    `extract_determining` forms."""
+    terms, L = sys.F.integer_form()
+    R = apply_prolonged(SymbolicVectorField(sys.n), Poly(terms), sys.order)
+    powers = R.coefficient_powers(sys.top_var)
+    weights = top_weights(powers, *(p * L for p in sys.top_split))
+    atom_of = {next(iter(Poly.variable(a).terms)): a
+               for a in R.atoms() if a[0] == KIND_FUNC}
+    return [(c, weights[r]) for r, c in powers.items()
+            if not weights[r].is_zero], atom_of
+
+
+class TestShards:
+    @pytest.mark.parametrize("build", [
+        lambda: build_monge_ampere(3),
+        lambda: build_affine_maximal(2, Fraction(3, 4))], ids=["ma3", "am2"])
+    def test_partition(self, build):
+        # the shards hold the groups of one unsharded pass, each key once
+        pairs, atom_of = products(build())
+        whole = {}
+        for c, w in pairs:
+            _add_products(whole, c, w, atom_of)
+        shards = list(_shards(pairs, atom_of))
+        assert len(shards) > 1
+        assert sum(map(len, shards)) == len(whole)
+        assert {k: g for s in shards for k, g in s.items()} == whole
+
+    def test_no_shard_atom_is_one_shard(self):
+        # A = u[1] puts the only first-order jet in every W_r
+        u1, u11 = Poly.variable(jet(1)), Poly.variable(jet(1, 1))
+        sys = PdeSystem(n=1, order=2, F=u1 * u11 + u1 ** 3 - 2, top_var=jet(1, 1))
+        assert len(list(_shards(*products(sys)))) == 1
+        assert_matches_reference(sys)
+
+    def test_products_overflow(self):
+        # c_r and W_r fit EXP_MAX = 127 in u[1], their products do not
+        u1, u11 = Poly.variable(jet(1)), Poly.variable(jet(1, 1))
+        sys = PdeSystem(n=1, order=2, F=u1 ** 63 * (u11 + 1), top_var=jet(1, 1))
+        with pytest.raises(ExponentOverflowError):
+            extract_determining(sys)
 
 
 class TestDetermining:
