@@ -317,12 +317,19 @@ def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
     raise ValueError(f"unknown solution family {name!r}")
 
 
+_ELEMENT_KEYS = ("Q", "P", "D", "R", "c", "d", "regime")
+
+
 def _load_element(path: str, n: int) -> GroupElement:
     from .groups import make_am_element
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("the element file must hold a JSON object")
+    unknown = sorted(set(data) - set(_ELEMENT_KEYS))
+    if unknown:
+        raise ValueError(f"unknown element key(s) {', '.join(unknown)}; "
+                         f"the keys are {', '.join(_ELEMENT_KEYS)}")
     q = data.get("Q")
     if not (isinstance(q, list) and len(q) == n):
         raise ValueError(f"element Q must be a list of {n} rows")
@@ -330,13 +337,19 @@ def _load_element(path: str, n: int) -> GroupElement:
     p, dvec, r = (_element_numbers(data.get(k, [0] * n), k, n) for k in "PDR")
     c, d = _element_numbers([data.get("c", 1), data.get("d", 0)], "c, d", 2)
     regime = data.get("regime", "am-generic")
+    if regime not in ("am-generic", "am-special"):
+        raise ValueError("element regime must be 'am-generic' or 'am-special'")
     return make_am_element(q, p, dvec, c, r, d, regime=regime)
 
 
 def _element_numbers(value, name: str, n: int) -> list[Fraction]:
+    # a JSON float is a binary fraction (0.1 would be 3602879701896397/2^55)
+    # and a boolean is no number: only integers and strings are exact
     if not (isinstance(value, list) and len(value) == n
-            and all(isinstance(v, (int, float, str)) for v in value)):
-        raise ValueError(f"element {name} must be {n} numbers")
+            and all(isinstance(v, (int, str)) and not isinstance(v, bool)
+                    for v in value)):
+        raise ValueError(f"element {name} must be {n} numbers, each an "
+                         f"integer or a string such as \"1/10\"")
     return [Fraction(v) for v in value]
 
 

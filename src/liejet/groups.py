@@ -1,7 +1,12 @@
 """Finite group elements, their action on solutions, and residual checks.
 
 A group element is the affine map (x, u) -> (Q x + P u + R, D.x + c u + d)
-of graph space.  For P = 0 the action on functions is global: `act` moves
+of graph space, built from its parameters as the paper states the groups:
+`make_ma_element` from x -> lam Abar x + b with det Abar = 1 and
+u -> lam^2 u + D.x + d, `make_am_element` from the blocks directly, with
+graph shears (P != 0) only in the special regime.  There is no exponential
+map: every element the CLI moves a solution by is given by its parameters.
+For P = 0 the action on functions is global: `act` moves
 a polynomial solution to a polynomial by exact substitution and wraps a
 callable (closed-form) one in an affine callable, and `residual` computes
 exact residuals of polynomials and finite-difference residuals (high-order
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     Atom,
@@ -37,9 +42,6 @@ from .algebra import (
     sym_det,
 )
 from .equations import PdeSystem, leading_minors_positive
-
-if TYPE_CHECKING:
-    from .jets import VectorField
 
 
 class DetNotOneError(ValueError):
@@ -60,10 +62,6 @@ class NotInvertibleHereError(RuntimeError):
     determinant vanishes) at the solution's center or at a source point."""
 
 
-class NotAffineError(ValueError):
-    """Exponentiation needs affine coefficients."""
-
-
 class BadParamsError(ValueError):
     """Solution-family parameters violate the family's constraints."""
 
@@ -82,16 +80,6 @@ def _mat(values) -> Mat:
 
 def _zeros(n: int) -> Vec:
     return tuple(Fraction(0) for _ in range(n))
-
-
-def _identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-                       for j in range(len(b[0]))) for i in range(len(a)))
 
 
 def _mat_inverse(rows: Mat) -> Mat:
@@ -120,8 +108,6 @@ class GroupElement:
     c: Fraction
     r: Vec
     d: Fraction
-    exact: bool = True
-    error_bound: float | None = None
 
     def __post_init__(self):
         n = self.n
@@ -142,38 +128,6 @@ class GroupElement:
         rows = [tuple(self.q[i]) + (self.p[i],) for i in range(self.n)]
         rows.append(tuple(self.dvec) + (self.c,))
         return tuple(rows)
-
-    def homogeneous(self) -> Mat:
-        """(n+2) x (n+2) matrix acting on (x, u, 1)."""
-        n = self.n
-        rows = [tuple(self.q[i]) + (self.p[i], self.r[i]) for i in range(n)]
-        rows.append(tuple(self.dvec) + (self.c, self.d))
-        rows.append(_zeros(n + 1) + (Fraction(1),))
-        return tuple(rows)
-
-
-def element_from_homogeneous(n: int, h: Mat, *, exact: bool = True,
-                             error_bound: float | None = None) -> GroupElement:
-    q = tuple(tuple(h[i][j] for j in range(n)) for i in range(n))
-    p = tuple(h[i][n] for i in range(n))
-    r = tuple(h[i][n + 1] for i in range(n))
-    dvec = tuple(h[n][j] for j in range(n))
-    c = h[n][n]
-    d = h[n][n + 1]
-    return GroupElement(n=n, q=q, p=p, dvec=dvec, c=c, r=r, d=d,
-                        exact=exact, error_bound=error_bound)
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """The element acting as g1 after g2."""
-    if g1.n != g2.n:
-        raise ValueError("dimension mismatch")
-    h = _mat_mul(g1.homogeneous(), g2.homogeneous())
-    eb = None
-    if g1.error_bound is not None or g2.error_bound is not None:
-        eb = (g1.error_bound or 0.0) + (g2.error_bound or 0.0)
-    return element_from_homogeneous(g1.n, h, exact=g1.exact and g2.exact,
-                                    error_bound=eb)
 
 
 def make_ma_element(lam, abar, b, dvec, d) -> GroupElement:
@@ -276,6 +230,14 @@ def solution_family(name: str, params: dict) -> SolutionSample:
         return polynomial_sample(n, p)
 
     if name == "am1d":
+        keys = ("theta", "a", "b")
+        missing = [k for k in keys if k not in params]
+        if missing:
+            raise BadParamsError("am1d needs theta, a and b; missing: "
+                                 + ", ".join(missing))
+        unknown = sorted(set(params).difference(keys))
+        if unknown:
+            raise BadParamsError("unknown am1d parameter(s): " + ", ".join(unknown))
         theta = Fraction(params["theta"])
         a = Fraction(params["a"])
         b = Fraction(params["b"])
@@ -351,81 +313,6 @@ def act(g: GroupElement, s: SolutionSample) -> SolutionSample:
 
     return SolutionSample(n=n, kind="callable", fn=fn, center=new_center,
                           radius=radius)
-
-
-# -- exponentiation ---------------------------------------------------------------
-
-def _affine_parts(p: Poly, n: int, what: str) -> tuple[list[Fraction], Fraction, Fraction]:
-    """Split an affine polynomial in (x, u) into (x-coeffs, u-coeff, const)."""
-    xs = [Fraction(0)] * n
-    uc = Fraction(0)
-    const = Fraction(0)
-    for m, c in p.terms.items():
-        pairs = list(_fields(m))
-        if not pairs:
-            const = c
-        elif pairs == [(DEP, 1)]:
-            uc = c
-        elif len(pairs) == 1 and pairs[0][1] == 1 and pairs[0][0][0] == KIND_COORD:
-            xs[pairs[0][0][1] - 1] = c
-        else:
-            raise NotAffineError(f"{what} is not affine in (x, u)")
-    return xs, uc, const
-
-
-def exponentiate(v: VectorField, eps) -> GroupElement:
-    """Finite element of the one-parameter flow of an affine field.
-
-    The field becomes an (n+2)x(n+2) matrix on homogeneous coordinates
-    (x, u, 1), and its exponential series is summed in exact rational
-    arithmetic.  A vanishing power ends the series: nilpotent matrices
-    exponentiate exactly.  Otherwise the sum stops once the tail is provably
-    below 1e-18, and the bound is reported.
-    """
-    n = v.n
-    eps = Fraction(eps)
-    size = n + 2
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        xs, uc, const = _affine_parts(v.xi[i], n, f"xi{i + 1}")
-        m[i][:n] = xs
-        m[i][n] = uc
-        m[i][n + 1] = const
-    xs, uc, const = _affine_parts(v.phi, n, "phi")
-    m[n][:n] = xs
-    m[n][n] = uc
-    m[n][n + 1] = const
-    mm = tuple(tuple(row) for row in m)
-
-    power = _identity(size)
-    total = _identity(size)
-    fact = 1
-    norm = max(sum(abs(v0) for v0 in row) for row in mm) * abs(eps)
-    k = 0
-    while True:
-        k += 1
-        power = _mat_mul(power, mm)
-        if not any(any(row) for row in power):
-            return element_from_homogeneous(n, total, exact=True)
-        fact *= k
-        term = _mat_scale(power, eps ** k / fact)
-        total = _mat_add(total, term)
-        tnorm = max(sum(abs(v0) for v0 in row) for row in term)
-        # a nilpotent matrix has a zero power by k = size, so the tail
-        # criterion waits until then and nilpotent flows stay exact
-        if k >= size and float(norm) / (k + 1) < 0.5 and float(tnorm) < 1e-22:
-            return element_from_homogeneous(n, total, exact=False,
-                                            error_bound=2.0 * float(tnorm))
-        if k > 500:
-            raise RuntimeError("exponential series did not converge")
-
-
-def _mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a: Mat, s: Fraction) -> Mat:
-    return tuple(tuple(s * x for x in row) for row in a)
 
 
 # -- residuals --------------------------------------------------------------------
@@ -720,36 +607,3 @@ def fd_jet_values(s: SolutionSample, x: Sequence[float], order: int
             val, _err = fd_derivative(sample, x, J, h0=h0)
             env[jet(*J)] = val
     return env
-
-
-_FLOW_EPS = Fraction(1, 10000)
-_FLOW_TOL = 1e-6
-
-
-def flow_derivative_matches(v: VectorField, s: SolutionSample,
-                            points: Sequence[Sequence[float]]) -> bool:
-    """Check d/de at e=0 of the transported solution against the field.
-
-    The infinitesimal change of the function under the flow is
-    phi(x, u) - xi(x, u) . grad u; compare, to within _FLOW_TOL, with a
-    central difference of the finite action at the step eps = _FLOW_EPS,
-    which is exact in the group parameter up to O(eps^2).
-    The field's flow must be global (xi free of u), since `act` refuses
-    local elements.
-    """
-    gp = exponentiate(v, _FLOW_EPS)
-    gm = exponentiate(v, -_FLOW_EPS)
-    sp = act(gp, s)
-    sm = act(gm, s)
-    for pt in points:
-        x = [float(a) for a in pt]
-        u0 = s(x)
-        grad = s.gradient(x)
-        envf = {coord(i + 1): x[i] for i in range(v.n)}
-        envf[DEP] = u0
-        want = v.phi.evaluate_float(envf) - sum(
-            v.xi[i].evaluate_float(envf) * grad[i] for i in range(v.n))
-        got = (sp(x) - sm(x)) / (2 * float(_FLOW_EPS))
-        if abs(got - want) > _FLOW_TOL:
-            return False
-    return True

@@ -228,7 +228,15 @@ class TestOrbit:
 
     @pytest.mark.parametrize("doc", [[1, 2], {"Q": 5}, {"Q": [[1, 0], [0]]},
                                      {"Q": [[1, 0], [0, 1]], "P": [0]},
-                                     {"Q": [[1, 0], [0, 1]], "c": None}])
+                                     {"Q": [[1, 0], [0, 1]], "c": None},
+                                     # a misspelt key would be dropped
+                                     {"Q": [["1", "0"], ["0", "1"]],
+                                      "p": ["1/10", "0"],
+                                      "regime": "am-special"},
+                                     # floats are binary, not 1/10
+                                     {"Q": [[0.1, 0], [0, 10]]},
+                                     {"Q": [[1, 0], [0, 1]], "c": True},
+                                     {"Q": [[1, 0], [0, 1]], "regime": "ma"}])
     def test_malformed_element_is_an_error_report(self, capsys, tmp_path, doc):
         g = tmp_path / "bad.json"
         g.write_text(json.dumps(doc))

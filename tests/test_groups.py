@@ -9,17 +9,13 @@ from liejet.groups import (
     BadParamsError,
     DetNotOneError,
     GroupElement,
-    NotAffineError,
     NotInvertibleHereError,
     PNotAllowedError,
     SingularError,
     SolutionSample,
     act,
-    compose,
-    exponentiate,
     fd_derivative,
     fd_jet_values,
-    flow_derivative_matches,
     make_am_element,
     make_ma_element,
     polynomial_sample,
@@ -31,9 +27,26 @@ from liejet.groups import (
 from liejet.jets import VectorField, multi_indices
 
 x1 = Poly.variable(coord(1))
-u = Poly.variable(DEP)
+x2 = Poly.variable(coord(2))
+ONE = Poly.const(1)
 ZERO = Poly.zero()
 I2 = [[1, 0], [0, 1]]
+
+# The nilpotent fields of the MA basis at N=2: the matrix M of each on
+# (x, u, 1) has M^2 = 0, so I + eps M is its exact flow.  Each field comes
+# with the parameters of that flow, as a function of eps.
+NILPOTENT_FLOWS = {
+    "x1-translation": (VectorField(2, (ONE, ZERO), ZERO), lambda e: {"r": [e, 0]}),
+    "x2-translation": (VectorField(2, (ZERO, ONE), ZERO), lambda e: {"r": [0, e]}),
+    "u-shift": (VectorField(2, (ZERO, ZERO), ONE), lambda e: {"d": e}),
+    "x1-gauge": (VectorField(2, (ZERO, ZERO), x1), lambda e: {"dvec": [e, 0]}),
+    "x2-gauge": (VectorField(2, (ZERO, ZERO), x2), lambda e: {"dvec": [0, e]}),
+    "shear": (VectorField(2, (x2, ZERO), ZERO), lambda e: {"q": [[1, e], [0, 1]]}),
+}
+
+
+def _flow(q=I2, dvec=(0, 0), r=(0, 0), d=0):
+    return make_am_element(q, [0, 0], dvec, 1, r, d)
 
 
 @pytest.fixture(scope="module")
@@ -124,51 +137,25 @@ class TestActOnQuadratics:
         assert s.poly.evaluate(env) == 0  # new center maps to old origin
         assert residual_polynomial(s, ma2).is_zero
 
-
-class TestExponentiate:
-    def test_translation_exact(self):
-        v = VectorField(2, (Poly.const(1), ZERO), ZERO)
-        g = exponentiate(v, 5)
-        assert g.exact and g.r == (5, 0) and g.q == ((1, 0), (0, 1))
-
-    def test_gauge_shear_exact(self):
-        v = VectorField(2, (ZERO, ZERO), x1)
-        g = exponentiate(v, 2)
-        assert g.exact and g.dvec == (2, 0) and g.c == 1
-
-    def test_graph_shear_exact(self):
-        v = VectorField(2, (u, ZERO), ZERO)
-        g = exponentiate(v, Fraction(1, 2))
-        assert g.exact and g.p == (Fraction(1, 2), 0) and g.local
-
-    def test_dilation_numeric(self):
-        v = VectorField(2, (2 * x1, ZERO), 2 * u)
-        g = exponentiate(v, 1)
-        assert not g.exact
-        assert g.error_bound is not None and g.error_bound < 1e-18
-        assert abs(float(g.q[0][0]) - math.e ** 2) < 1e-12
-        assert float(g.q[1][1]) == 1
-        assert abs(float(g.c) - math.e ** 2) < 1e-12
-
-    def test_one_parameter_law_nilpotent(self):
-        v = VectorField(1, (ZERO,), x1)
-        a, b = Fraction(1, 3), Fraction(5, 2)
-        assert compose(exponentiate(v, a), exponentiate(v, b)).homogeneous() \
-            == exponentiate(v, a + b).homogeneous()
-
-    def test_one_parameter_law_numeric(self):
-        v = VectorField(1, (x1,), 2 * u)
-        lhs = compose(exponentiate(v, Fraction(1, 4)),
-                      exponentiate(v, Fraction(3, 4))).homogeneous()
-        rhs = exponentiate(v, 1).homogeneous()
-        for i in range(3):
-            for j in range(3):
-                assert abs(float(lhs[i][j] - rhs[i][j])) < 1e-12
-
-    def test_not_affine(self):
-        v = VectorField(1, (x1 * x1,), ZERO)
-        with pytest.raises(NotAffineError):
-            exponentiate(v, 1)
+    @pytest.mark.parametrize("field, flow", NILPOTENT_FLOWS.values(),
+                             ids=list(NILPOTENT_FLOWS))
+    def test_nilpotent_flow_derivative_is_the_characteristic(
+            self, paraboloid, field, flow):
+        """The paraboloid moved by I + eps M is quadratic in eps, so the
+        central difference at a finite rational eps is its exact derivative
+        at eps = 0: the characteristic phi - xi . grad s, as a polynomial."""
+        eps = Fraction(1, 7)
+        plus, minus = _flow(**flow(eps)), _flow(**flow(-eps))
+        s = paraboloid.poly
+        # (I + eps M)(I - eps M) = I - eps^2 M^2 = I
+        assert act(minus, act(plus, paraboloid)).poly == s
+        on_s = {DEP: s}
+        want = field.phi.substitute_atoms(on_s) - sum(
+            (field.xi[i].substitute_atoms(on_s) * s.diff(coord(i + 1))
+             for i in range(2)), ZERO)
+        got = (act(plus, paraboloid).poly
+               - act(minus, paraboloid).poly) * (1 / (2 * eps))
+        assert got == want
 
 
 class TestSolutionFamilies:
@@ -218,6 +205,13 @@ class TestSolutionFamilies:
             solution_family("am1d", {"theta": Fraction(2, 5), "a": 1, "b": 1})
         with pytest.raises(BadParamsError):
             solution_family("am1d", {"theta": Fraction(1, 2), "a": 1, "b": 0})
+        with pytest.raises(BadParamsError, match="missing: b$"):
+            solution_family("am1d", {"theta": Fraction(1, 2), "a": 1})
+        with pytest.raises(BadParamsError, match="missing: theta, a$"):
+            solution_family("am1d", {"b": 1})
+        with pytest.raises(BadParamsError, match="unknown am1d parameter.*zz"):
+            solution_family("am1d", {"theta": Fraction(1, 2), "a": 1, "b": 1,
+                                     "zz": 3})
 
 
 class TestResiduals:
@@ -343,12 +337,3 @@ class TestFiniteDifferences:
         val, est = fd_derivative(fn, [0.0], (1, 1, 1, 1), h0=0.12)
         assert abs(val - (-6.0)) < 1e-8
         assert est < 1e-6
-
-    def test_flow_derivative_consistency(self, paraboloid):
-        v = VectorField(2, (2 * x1, ZERO), 2 * u)
-        assert flow_derivative_matches(
-            v, paraboloid, [[0.2, 0.1], [0.0, 0.0], [-0.3, 0.4]])
-
-    def test_flow_derivative_consistency_shear(self, paraboloid):
-        v = VectorField(2, (ZERO, ZERO), x1)
-        assert flow_derivative_matches(v, paraboloid, [[0.5, -0.2]])
