@@ -48,7 +48,6 @@ empty map.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -141,20 +140,16 @@ _SHIFT: dict[Atom, int] = {}  # atom -> bit offset of its exponent field
 _ATOM_AT: list[Atom] = []  # field number -> atom
 _GUARD = 0
 _FIELD_MASK = (1 << EXP_BITS) - 1
-_INTERN_LOCK = threading.Lock()
 
 
 def _shift(a: Atom) -> int:
     sh = _SHIFT.get(a)
     if sh is None:
         global _GUARD
-        with _INTERN_LOCK:  # one field per atom, also across threads
-            sh = _SHIFT.get(a)
-            if sh is None:
-                sh = len(_ATOM_AT) * EXP_BITS
-                _ATOM_AT.append(a)
-                _GUARD |= 1 << (sh + EXP_BITS - 1)
-                _SHIFT[a] = sh
+        sh = len(_ATOM_AT) * EXP_BITS
+        _ATOM_AT.append(a)
+        _GUARD |= 1 << (sh + EXP_BITS - 1)
+        _SHIFT[a] = sh
     return sh
 
 
@@ -235,9 +230,9 @@ class Poly:
     `terms` is the one stored form; `integer_form` is the one derived form,
     computed on first use and kept.  Monomials are decoded only at the
     edges (`mono_pairs`, `sorted_terms`).  Immutable by convention: no
-    method mutates `terms`, and instances may be shared freely across
-    threads.  Monomials are only meaningful inside the process that packed
-    them.
+    method mutates `terms`.  liejet runs in one thread: the field table
+    that packs monomials is not locked, and monomials are only meaningful
+    inside the process that packed them.
     """
 
     __slots__ = ("terms", "_int")
@@ -281,11 +276,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def term_pairs(self) -> list[tuple[Pairs, int | Fraction]]:
-        """The terms in order, each monomial decoded by `mono_pairs`: a
-        view for tests and callers, not read by any kernel."""
-        return [(mono_pairs(m), c) for m, c in self.terms.items()]
 
     def integer_form(self) -> tuple[dict[Monomial, int], int]:
         """(L * terms, L), L the lcm of the coefficient denominators: every
@@ -445,9 +435,6 @@ class Poly:
                         out.pop(mm, None)
         _check_exponents(out)
         return Poly(out)
-
-    def subs(self, a: Atom, replacement: "Poly | int | Fraction") -> "Poly":
-        return self.substitute_atoms({a: _as_poly(replacement)})
 
     def substitute_atoms(self, mapping: Mapping[Atom, "Poly"]) -> "Poly":
         """Replace every occurrence of the mapped atoms, re-expanding.

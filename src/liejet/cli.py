@@ -27,7 +27,6 @@ from .algebra import KIND_JET, Poly, THETA, atom_str, coord, poly_str
 from .equations import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    JetPoint,
     PdeSystem,
     build_affine_maximal,
     build_monge_ampere,
@@ -99,7 +98,7 @@ def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem
         from .dsl import parse_expression
         F = parse_expression(expr, config.n)
         if config.theta is not None:
-            F = F.subs(THETA, Poly.const(config.theta))
+            F = F.substitute_atoms({THETA: Poly.const(config.theta)})
         top = _choose_top_var(F)
         order = F.max_jet_order()
         if order == 0:
@@ -120,8 +119,8 @@ def _choose_top_var(F: Poly):
     return max(candidates, key=lambda a: (len(a[1]), a))
 
 
-def _jetpoint_dict(pt: JetPoint) -> dict:
-    return {atom_str(a): str(v) for a, v in sorted(pt.env.items())}
+def _jetpoint_dict(pt: dict) -> dict:
+    return {atom_str(a): str(v) for a, v in sorted(pt.items())}
 
 
 def _report_dict(rep: CheckReport) -> dict:
@@ -182,19 +181,17 @@ def cmd_prolong(args, config: SessionConfig, em: _Emitter) -> int:
     from .jets import prolong_explicit, prolong_recursive
     with open(args.field, encoding="utf-8") as fh:
         v = parse_vector_field(fh.read(), config.n)
-    pf = prolong_recursive(v, args.order)
+    coeffs = prolong_recursive(v, args.order)
     results = []
     mismatch = False
-    explicit = None
-    if args.explicit and args.order >= 2:
-        explicit = prolong_explicit(v, args.order)
-    for J in sorted(pf.coeffs):
+    explicit = prolong_explicit(v, args.order) if args.explicit else None
+    for J in sorted(coeffs):
         if not J:
             continue
         entry = {"index": ",".join(map(str, J)),
-                 "coefficient": poly_str(pf.coeffs[J])}
+                 "coefficient": poly_str(coeffs[J])}
         if explicit is not None:
-            same = explicit.coeffs[J] == pf.coeffs[J]
+            same = explicit[J] == coeffs[J]
             entry["explicit_matches"] = same
             mismatch |= not same
         results.append(entry)
@@ -278,13 +275,13 @@ def cmd_bracket_table(args, config: SessionConfig, em: _Emitter) -> int:
     else:
         basis = affine_maximal_basis(config.n, special=True)
     try:
-        rep = closure_check(basis)
+        structure = closure_check(basis)
     except NotClosedError as exc:
         if _text(config):
             print(f"NOT CLOSED at pair {exc.pair}")
         return em.emit([{"closed": False, "pair": list(exc.pair)}], 1)
     constants = {f"{i},{j}": [str(c) for c in coeffs]
-                 for (i, j), coeffs in sorted(rep.structure_constants.items())}
+                 for (i, j), coeffs in sorted(structure.items())}
     if _text(config):
         print(f"basis {args.basis}: closed, "
               f"{len(constants)} bracket pairs")

@@ -88,17 +88,6 @@ def eliminate_top(R: Poly, A: Poly, B: Poly, top_var: Atom) -> Poly:
     return poly_sum(c * weights[r] for r, c in powers.items())
 
 
-@dataclass(frozen=True)
-class JetPoint:
-    """Exact rational assignment to all jet coordinates up to some order."""
-
-    env: dict[Atom, Fraction]
-
-    def hessian(self, n: int) -> list[list[Fraction]]:
-        return [[self.env[jet(i, j)] for j in range(1, n + 1)]
-                for i in range(1, n + 1)]
-
-
 def hessian_matrix(n: int) -> list[list[Poly]]:
     return [[Poly.variable(jet(i, j)) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
@@ -128,32 +117,27 @@ def build_affine_maximal(n: int, theta=None) -> PdeSystem:
     or None/"sym" for a symbolic parameter atom.
     """
     tpoly, tvalue = _theta_poly(theta)
-    det = sym_det(hessian_matrix(n))
-    F = (tpoly * _contraction_v(n)
-         - det * _fourth_order_contraction(n)
-         + _contraction_z(n))
+    H = hessian_matrix(n)
+    U = sym_adjugate(H)
+    F = (tpoly * _contraction_v(U)
+         - sym_det(H) * _fourth_order_contraction(U)
+         + _contraction_z(U))
     return PdeSystem(n=n, order=4, F=F, top_var=jet(1, 1, 1, 1), theta=tvalue)
 
 
-def _cofactors(n: int) -> list[list[Poly]]:
-    return sym_adjugate(hessian_matrix(n))
-
-
-def _contraction_v(n: int) -> Poly:
+def _contraction_v(U: list[list[Poly]]) -> Poly:
     # det^3 * u^a_{ai} u^{bi}_b  ==  U^{ij} w_i w_j with w_i = U^{ab} u_{abi}
-    U = _cofactors(n)
-    rng = range(1, n + 1)
+    rng = range(1, len(U) + 1)
     w = {c: poly_sum(U[a - 1][b - 1] * Poly.variable(jet(a, b, c))
                      for a in rng for b in rng)
          for c in rng}
     return poly_sum(U[i - 1][j - 1] * w[i] * w[j] for i in rng for j in rng)
 
 
-def _contraction_z(n: int) -> Poly:
+def _contraction_z(U: list[list[Poly]]) -> Poly:
     # det^3 * u_{ijk} u^{ijk} = u_{abc} w^{abc}, w^{abc} = U^{ai} U^{bj} U^{ck}
     # u_{ijk}, with the indices of u_{ijk} raised one at a time
-    U = _cofactors(n)
-    rng = range(n)
+    rng = range(len(U))
     third = {idx: Poly.variable(jet(*(i + 1 for i in idx)))
              for idx in itertools.product(rng, repeat=3)}
     w = third
@@ -164,21 +148,11 @@ def _contraction_z(n: int) -> Poly:
     return poly_sum(third[idx] * w[idx] for idx in third)
 
 
-def _fourth_order_contraction(n: int) -> Poly:
+def _fourth_order_contraction(U: list[list[Poly]]) -> Poly:
     # U^{ij} U^{kl} u_{ijkl}
-    U = _cofactors(n)
-    rng = range(1, n + 1)
+    rng = range(1, len(U) + 1)
     return poly_sum(U[i - 1][j - 1] * U[k - 1][l - 1] * Poly.variable(jet(i, j, k, l))
                     for i, j, k, l in itertools.product(rng, repeat=4))
-
-
-def named_contraction(name: str, n: int) -> Poly:
-    """The det^3-cleared third-derivative contractions 'v' and 'z'."""
-    if name == "v":
-        return _contraction_v(n)
-    if name == "z":
-        return _contraction_z(n)
-    raise ValueError(f"unknown contraction {name!r} (expected 'v' or 'z')")
 
 
 # -- sampling -------------------------------------------------------------------
@@ -226,8 +200,9 @@ def leading_minors_positive(H: list[list[Fraction]]) -> bool:
                for r in range(1, len(H) + 1))
 
 
-def sample_point(sys: PdeSystem, seed: int, index: int) -> JetPoint:
-    """Deterministic on-variety point number `index` for the given seed."""
+def sample_point(sys: PdeSystem, seed: int, index: int) -> dict[Atom, Fraction]:
+    """Deterministic on-variety point number `index` for the given seed: the
+    exact value of every jet coordinate up to the equation's order."""
     rng = random.Random(seed * 1_000_003 + index)
     n = sys.n
     for _ in range(RESAMPLE_BUDGET):
@@ -251,18 +226,18 @@ def sample_point(sys: PdeSystem, seed: int, index: int) -> JetPoint:
         if t is None:
             continue
         env[sys.top_var] = t
-        pt = JetPoint(env=env)
-        if not leading_minors_positive(pt.hessian(n)):
+        H = [[env[jet(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
+        if not leading_minors_positive(H):
             continue
         if sys.F.evaluate(env) != 0:  # exact check of the defining property
             continue
-        return pt
+        return env
     raise SamplingExhaustedError(
         f"no valid sample for seed {seed}, index {index} "
         f"within {RESAMPLE_BUDGET} attempts")
 
 
-def sample_on_variety(sys: PdeSystem, rng_seed: int, count: int) -> list[JetPoint]:
+def sample_on_variety(sys: PdeSystem, rng_seed: int, count: int) -> list[dict]:
     """`count` exact on-variety points; point i depends only on (seed, i)."""
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -32,6 +32,7 @@ from .algebra import (
     KIND_JET,
     Poly,
     _fields,
+    _solve_columns,
     coord,
     jet,
     multi_indices,
@@ -84,13 +85,10 @@ def _zeros(n: int) -> Vec:
 
 def _mat_inverse(rows: Mat) -> Mat:
     n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        x = solve_exact(rows, e)
-        if x is None:
-            raise SingularError("matrix is singular")
-        cols.append(x)
+    cols = _solve_columns(rows, [[Fraction(1 if i == j else 0) for i in range(n)]
+                                 for j in range(n)])
+    if None in cols:
+        raise SingularError("matrix is singular")
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 

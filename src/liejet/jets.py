@@ -43,7 +43,7 @@ MAX_PROLONGATION_ORDER = 4
 
 
 class UnsupportedOrderError(ValueError):
-    """Closed-formula prolongation is only available for orders 2..4."""
+    """Closed-formula prolongation is only available for orders 1..4."""
 
 
 class OrderTooLowError(ValueError):
@@ -114,17 +114,6 @@ class SymbolicVectorField:
 Field = VectorField | SymbolicVectorField
 
 
-@dataclass(frozen=True)
-class ProlongedField:
-    """Lift of a field to jet space: coefficients per sorted multi-index.
-
-    `coeffs` maps every sorted index tuple up to the prolongation order to
-    a Poly; the empty tuple maps to phi itself.
-    """
-
-    coeffs: dict[tuple[int, ...], Poly]
-
-
 def _base_components(v: Field) -> tuple[list[Poly], Poly]:
     if isinstance(v, SymbolicVectorField):
         xi = [Poly.variable(func_partial(s)) for s in range(1, v.n + 1)]
@@ -163,8 +152,9 @@ def _atom_total_derivative(a: Atom, i: int) -> Poly:
             + Poly.variable(func_partial(comp, xs, du + 1)) * _uj(i))
 
 
-def prolong_recursive(v: Field, k: int) -> ProlongedField:
-    """Prolongation by iterated total derivatives of (phi - xi^s u_s)."""
+def prolong_recursive(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
+    """Prolongation by iterated total derivatives of (phi - xi^s u_s): the
+    coefficient at every sorted multi-index up to order k, () mapped to phi."""
     if k < 1:
         raise ValueError("prolongation order must be >= 1")
     n = v.n
@@ -181,7 +171,7 @@ def prolong_recursive(v: Field, k: int) -> ProlongedField:
             for s in range(1, n + 1):
                 c = c + xi[s - 1] * Poly.variable(jet(*J, s))
             coeffs[J] = c
-    return ProlongedField(coeffs=coeffs)
+    return coeffs
 
 
 # -- circle summation and the explicit closed formulas --------------------------
@@ -192,23 +182,17 @@ def prolong_recursive(v: Field, k: int) -> ProlongedField:
 _GENERIC = (1000001, 1000002, 1000003, 1000004)
 
 
-def circle_sum(pattern: Callable[[tuple[int, ...]], Poly],
-               indices: Sequence[int]) -> Poly:
-    """Sum a term pattern over the distinct permutations of its indices.
-
-    `pattern` builds the term for one assignment of the free indices.  The
-    pattern is instantiated at generic (pairwise distinct) index values for
-    every permutation; terms that coincide there - i.e. are equal as index
-    expressions thanks to the symmetry of mixed partials - are kept once.
-    The surviving terms are then re-instantiated at the actual index values,
-    so repeated indices contribute with their full multiplicity.
-    """
-    return _relabel(_generic_terms(pattern, len(indices)), indices)
-
-
 def _generic_terms(pattern: Callable[[tuple[int, ...]], Poly], m: int
                    ) -> dict[Monomial, int | Fraction]:
-    """The distinct terms of `pattern` at the permuted generic indices."""
+    """The distinct terms of `pattern` at the permuted generic indices.
+
+    A circle summation sums a term pattern over the distinct permutations of
+    its m free indices.  `pattern` is instantiated at generic (pairwise
+    distinct) index values for every permutation; terms that coincide there
+    - equal as index expressions by the symmetry of mixed partials - are
+    kept once.  `_relabel` then re-instantiates them at the actual indices,
+    so repeated indices contribute with their full multiplicity.
+    """
     gen = _GENERIC[:m]
     seen: dict[Monomial, int | Fraction] = {}
     for perm in itertools.permutations(range(m)):
@@ -412,7 +396,7 @@ def func_partial_values(v: VectorField, atoms: Iterable[Atom]) -> dict[Atom, Pol
     return out
 
 
-def prolong_explicit(v: Field, k: int) -> ProlongedField:
+def prolong_explicit(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
     """Prolongation assembled from the order-by-order closed formulas.
 
     Independent of `prolong_recursive`: coefficients are built symbolically
@@ -420,9 +404,9 @@ def prolong_explicit(v: Field, k: int) -> ProlongedField:
     derivative symbols are then replaced by actual partial derivatives of
     the field's components.
     """
-    if not 2 <= k <= MAX_PROLONGATION_ORDER:
+    if not 1 <= k <= MAX_PROLONGATION_ORDER:
         raise UnsupportedOrderError(
-            f"closed formulas cover orders 2..{MAX_PROLONGATION_ORDER}, got {k}")
+            f"closed formulas cover orders 1..{MAX_PROLONGATION_ORDER}, got {k}")
     n = v.n
     _, phi = _base_components(v)
     coeffs: dict[tuple[int, ...], Poly] = {(): phi}
@@ -437,7 +421,7 @@ def prolong_explicit(v: Field, k: int) -> ProlongedField:
                 c = c.substitute_atoms({a: values[a] for a in atoms
                                         if a in values})
             coeffs[J] = c
-    return ProlongedField(coeffs=coeffs)
+    return coeffs
 
 
 def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
@@ -469,9 +453,8 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
 
 
 def _apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
-    pf = prolong_recursive(v, k)
     out = _first_order_action(*_base_components(v), F)
-    for J, c in pf.coeffs.items():
+    for J, c in prolong_recursive(v, k).items():
         if not J:
             continue
         d = F.diff(jet(*J))

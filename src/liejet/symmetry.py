@@ -51,7 +51,6 @@ from .algebra import (
 from .equations import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    JetPoint,
     PdeSystem,
     eliminate_top,
     sample_point,
@@ -94,7 +93,7 @@ class CheckReport:
     seed: int
     trials: int
     multiplier: Poly | None = None
-    witness: JetPoint | None = None
+    witness: dict[Atom, Fraction] | None = None
     residual: Fraction | None = None
 
     @property
@@ -132,12 +131,6 @@ class GeneratorBasis:
             raise ValueError(f"generator basis for {self.regime} is dependent")
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    closed: bool
-    structure_constants: dict[tuple[int, int], tuple[Fraction, ...]]
-
-
 def infinitesimal_check(sys: PdeSystem, v: Field,
                         trials: int = DEFAULT_TRIALS,
                         seed: int = DEFAULT_SEED) -> CheckReport:
@@ -161,19 +154,13 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
                            multiplier=mu * exact_quotient(L, lam))
     for idx in range(trials):
         pt = sample_point(sys, seed, idx)
-        value = R.evaluate(pt.env)
+        value = R.evaluate(pt)
         if value != 0:
             return CheckReport(VERDICT_FAILS, idx, seed, trials,
                                witness=pt, residual=value)
     if eliminate_top(R, *sys.top_split, sys.top_var).is_zero:
         return CheckReport(VERDICT_ON_VARIETY, trials, seed, trials)
     return CheckReport(VERDICT_FAILS, trials, seed, trials)
-
-
-def check_generator_basis(sys: PdeSystem, basis: GeneratorBasis,
-                          trials: int = DEFAULT_TRIALS,
-                          seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    return [infinitesimal_check(sys, v, trials, seed) for v in basis.fields]
 
 
 # -- Lie algebra structure -------------------------------------------------------
@@ -203,13 +190,9 @@ def _field_vector(v: VectorField, monos: list[Monomial]) -> list[Fraction]:
     return out
 
 
-def span_coefficients(fields, target: VectorField) -> list[Fraction] | None:
-    """Exact coordinates of `target` in the span of `fields`, or None."""
-    return _span_solutions(fields, [target])[0]
-
-
 def _span_solutions(fields, targets) -> list[list[Fraction] | None]:
-    """`span_coefficients` of every target, from one elimination."""
+    """The exact coordinates of every target in the span of `fields`, None
+    for one outside it, from one elimination."""
     monos = _span_monomials([*fields, *targets])
     vecs = [_field_vector(f, monos) for f in fields]
     tvecs = [_field_vector(t, monos) for t in targets]
@@ -218,10 +201,11 @@ def _span_solutions(fields, targets) -> list[list[Fraction] | None]:
                           tvecs)
 
 
-def closure_check(basis: GeneratorBasis) -> ClosureReport:
-    """Verify span-closure of all pairwise brackets; collect the exact
-    structure constants.  Raises NotClosedError at the first escape, in
-    pair order."""
+def closure_check(basis: GeneratorBasis
+                  ) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """Verify span-closure of all pairwise brackets and return the exact
+    structure constants of each pair (i, j), i < j.  Raises NotClosedError
+    at the first escape, in pair order."""
     fields = basis.fields
     pairs = list(itertools.combinations(range(len(fields)), 2))
     brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
@@ -231,7 +215,7 @@ def closure_check(basis: GeneratorBasis) -> ClosureReport:
         if coeffs is None:
             raise NotClosedError(pair, br)
         constants[pair] = tuple(coeffs)
-    return ClosureReport(closed=True, structure_constants=constants)
+    return constants
 
 
 # -- classified generator bases ---------------------------------------------------
@@ -429,15 +413,11 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
                                              tuple_order(jets)))
 
 
-def determining_residuals(ds: DeterminingSystem, v: VectorField) -> list[Poly]:
-    """Substitute a concrete field into the system; zero polynomials mean
-    the field satisfies the corresponding equations identically in (x,u)."""
-    return [eq.substitute_atoms(func_partial_values(v, eq.atoms()))
-            for eq in ds.equations]
-
-
 def satisfies_determining(ds: DeterminingSystem, v: VectorField) -> bool:
-    return all(r.is_zero for r in determining_residuals(ds, v))
+    """True when the concrete field, substituted into every equation of the
+    system, leaves the zero polynomial in (x, u)."""
+    return all(eq.substitute_atoms(func_partial_values(v, eq.atoms())).is_zero
+               for eq in ds.equations)
 
 
 # -- Taylor-coefficient rows ---------------------------------------------------------

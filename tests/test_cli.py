@@ -443,6 +443,16 @@ class TestProlong:
         assert by_index["1,1"]["coefficient"] == "-2*u[1,1]"
         assert all(r["explicit_matches"] for r in rep["results"])
 
+    def test_order_one_explicit_is_compared(self, capsys, tmp_path):
+        field = tmp_path / "v.vf"
+        field.write_text("xi1 = x1*u; xi2 = x2^2; phi = u^2 + x1")
+        code, rep = run_json(capsys, ["--n", "2", "--output", "json",
+                                      "prolong", "--field", str(field),
+                                      "--order", "1", "--explicit"])
+        assert code == 0
+        assert [(r["index"], r["explicit_matches"]) for r in rep["results"]] \
+            == [("1", True), ("2", True)]
+
 
 class TestConfigValidation:
     def test_bad_theta(self, capsys):

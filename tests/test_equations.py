@@ -9,16 +9,20 @@ from liejet.algebra import (
     THETA,
     coord,
     jet,
+    mono_pairs,
+    sym_adjugate,
     sym_det,
 )
 from liejet.equations import (
     PdeSystem,
     SamplingExhaustedError,
+    _contraction_v,
+    _contraction_z,
+    _fourth_order_contraction,
     build_affine_maximal,
     build_monge_ampere,
     hessian_matrix,
     leading_minors_positive,
-    named_contraction,
     sample_on_variety,
     solve_top_value,
 )
@@ -66,8 +70,9 @@ class TestAffineMaximalBuilder:
     def test_quadratic_jets_solve(self):
         # every term carries a third- or fourth-order jet variable
         sys = build_affine_maximal(2)
-        for m, _ in sys.F.term_pairs():
-            assert any(a[0] == KIND_JET and len(a[1]) >= 3 for a, _ in m)
+        for m in sys.F.terms:
+            assert any(a[0] == KIND_JET and len(a[1]) >= 3
+                       for a, _ in mono_pairs(m))
 
     def test_pinned_theta(self):
         sys = build_affine_maximal(2, Fraction(3, 4))
@@ -78,28 +83,32 @@ class TestAffineMaximalBuilder:
 
     def test_theta_linearity(self):
         sys = build_affine_maximal(2)
-        assert sys.F.diff(THETA) == named_contraction("v", 2)
+        assert sys.F.diff(THETA) == _contraction_v(sym_adjugate(hessian_matrix(2)))
         assert sys.F.diff(THETA).diff(THETA).is_zero
 
 
 class TestNamedContractions:
+    """The det^3-cleared contractions v and z, each given the cofactor
+    matrix U of the jet Hessian."""
+
     def test_n1_specialization(self):
-        assert named_contraction("v", 1) == uj(1, 1, 1) ** 2
-        assert named_contraction("z", 1) == uj(1, 1, 1) ** 2
+        U = sym_adjugate(hessian_matrix(1))
+        assert _contraction_v(U) == uj(1, 1, 1) ** 2
+        assert _contraction_z(U) == uj(1, 1, 1) ** 2
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_recomposition(self, n):
         sys = build_affine_maximal(n)
         th = Poly.variable(THETA)
-        det = sym_det(hessian_matrix(n))
-        from liejet.equations import _fourth_order_contraction
-        composed = (th * named_contraction("v", n)
-                    - det * _fourth_order_contraction(n)
-                    + named_contraction("z", n))
+        H = hessian_matrix(n)
+        U = sym_adjugate(H)
+        composed = (th * _contraction_v(U)
+                    - sym_det(H) * _fourth_order_contraction(U)
+                    + _contraction_z(U))
         assert composed == sys.F
 
     def test_quadratic_jet_annihilates(self):
-        v = named_contraction("v", 2)
+        v = _contraction_v(sym_adjugate(hessian_matrix(2)))
         env = {}
         for i in range(1, 3):
             for j in range(i, 3):
@@ -107,10 +116,6 @@ class TestNamedContractions:
         for J in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]:
             env[jet(*J)] = Fraction(0)
         assert v.evaluate(env) == 0
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            named_contraction("w", 2)
 
 
 class TestSolveTop:
@@ -160,8 +165,9 @@ class TestSampling:
         pts = sample_on_variety(sys, 42, 20)
         assert len(pts) == 20
         for p in pts:
-            assert sys.F.evaluate(p.env) == 0
-            assert leading_minors_positive(p.hessian(n))
+            assert sys.F.evaluate(p) == 0
+            assert leading_minors_positive(
+                [[h.evaluate(p) for h in row] for row in hessian_matrix(n)])
 
     def test_env_covers_all_jets(self):
         sys = build_affine_maximal(2, Fraction(1, 2))
@@ -169,35 +175,34 @@ class TestSampling:
         from liejet.jets import multi_indices
         for r in range(1, 5):
             for J in multi_indices(2, r):
-                assert jet(*J) in pt.env
-        assert DEP in pt.env and coord(1) in pt.env and coord(2) in pt.env
+                assert jet(*J) in pt
+        assert DEP in pt and coord(1) in pt and coord(2) in pt
 
     def test_symbolic_theta_sampled_positive(self):
         sys = build_affine_maximal(2)
         pts = sample_on_variety(sys, 3, 5)
         for p in pts:
-            assert p.env[THETA] > 0
-            assert sys.F.evaluate(p.env) == 0
+            assert p[THETA] > 0
+            assert sys.F.evaluate(p) == 0
 
     def test_trace_identity_on_variety(self):
         # the fourth-order contraction equals theta*v + z once F = 0,
         # after clearing by the determinant powers
-        from liejet.equations import _fourth_order_contraction
         sys = build_affine_maximal(2, Fraction(3, 4))
-        det = sym_det(hessian_matrix(2))
-        lhs = det * _fourth_order_contraction(2)
-        rhs = (Fraction(3, 4) * named_contraction("v", 2)
-               + named_contraction("z", 2))
+        H = hessian_matrix(2)
+        U = sym_adjugate(H)
+        lhs = sym_det(H) * _fourth_order_contraction(U)
+        rhs = Fraction(3, 4) * _contraction_v(U) + _contraction_z(U)
         for p in sample_on_variety(sys, 11, 10):
-            assert lhs.evaluate(p.env) == rhs.evaluate(p.env)
+            assert lhs.evaluate(p) == rhs.evaluate(p)
 
     def test_deterministic_per_seed(self):
         sys = build_monge_ampere(2)
         a = sample_on_variety(sys, 7, 4)
         b = sample_on_variety(sys, 7, 4)
-        assert all(x.env == y.env for x, y in zip(a, b))
+        assert a == b
         c = sample_on_variety(sys, 8, 4)
-        assert any(x.env != y.env for x, y in zip(a, c))
+        assert any(x != y for x, y in zip(a, c))
 
     def test_exhaustion(self):
         # a system whose top variable never occurs: unsolvable, budget hit
