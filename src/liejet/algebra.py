@@ -48,12 +48,12 @@ empty map.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 KIND_COORD = 0
 KIND_DEP = 1

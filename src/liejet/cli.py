@@ -16,9 +16,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 # Only what argument parsing and every subcommand share is imported here;
 # each subcommand imports the rest of the engine itself, so a process loads
@@ -33,23 +32,15 @@ from .equations import (
     sample_on_variety,
 )
 
-if TYPE_CHECKING:
-    from .groups import GroupElement, SolutionSample
-    from .symmetry import CheckReport
-
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    n: int
-    theta: Fraction | None  # None means symbolic
-    seed: int
-    trials: int
-    ansatz_degree: int
-    output: str
+class SessionConfig(namedtuple("SessionConfig",
+                               "n theta seed trials ansatz_degree output")):
+    """The shared options; a `theta` of None means symbolic."""
 
-    def __post_init__(self):
+    def __new__(cls, n, theta, seed, trials, ansatz_degree, output):
+        self = super().__new__(cls, n, theta, seed, trials, ansatz_degree, output)
         if self.n < 1:
             raise ValueError("N must be >= 1")
         if self.trials < 1:
@@ -60,16 +51,11 @@ class SessionConfig:
             raise ValueError("ansatz degree must be >= 1")
         if self.output not in ("text", "json"):
             raise ValueError("output must be 'text' or 'json'")
+        return self
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "theta": "sym" if self.theta is None else str(self.theta),
-            "seed": self.seed,
-            "trials": self.trials,
-            "ansatz_degree": self.ansatz_degree,
-            "output": self.output,
-        }
+        return {**self._asdict(),
+                "theta": "sym" if self.theta is None else str(self.theta)}
 
 
 def _parse_theta(text: str) -> Fraction | None:
@@ -249,13 +235,14 @@ def cmd_determining(args, config: SessionConfig, em: _Emitter) -> int:
     sys_ = _build_system(config, args.eq, None)
     if args.eq == "am" and config.theta is None:
         raise ValueError("determining listing needs --theta p/q for am")
-    ds = extract_determining(sys_)
+    eqs = extract_determining(sys_)
+    unknowns = sorted({a for eq in eqs for a in eq.atoms()})
     result = {
-        "unknowns": [atom_str(a) for a in ds.unknowns],
-        "equations": [poly_str(eq) + " = 0" for eq in ds.equations],
+        "unknowns": [atom_str(a) for a in unknowns],
+        "equations": [poly_str(eq) + " = 0" for eq in eqs],
     }
     if _text(config):
-        print(f"{len(ds.equations)} equations in {len(ds.unknowns)} unknowns")
+        print(f"{len(eqs)} equations in {len(unknowns)} unknowns")
         for line in result["equations"]:
             print("  " + line)
     return em.emit([result], 0)

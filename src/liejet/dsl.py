@@ -12,10 +12,10 @@ omitted components default to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import DEP, Poly, THETA, coord, jet, poly_str
+from .algebra import DEP, EXP_MAX, ExponentOverflowError, Poly, THETA, coord, jet, poly_str
 from .jets import VectorField
 
 
@@ -36,12 +36,7 @@ class DivisionNotSupportedError(ParseError):
     """`/` is only allowed inside a rational literal `p/q`."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op"
-    value: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind value line col")  # kind: "num" | "name" | "op"
 
 
 _OPS = set("+-*^()[],/=;")
@@ -161,7 +156,12 @@ class _Parser:
             if tok.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer",
                                  tok.line, tok.col)
-            return base ** int(tok.value)
+            # a constant base never overflows a packed field: refuse here
+            digits = tok.value.lstrip("0") or "0"
+            if len(digits) > len(str(EXP_MAX)) or int(digits) > EXP_MAX:
+                raise ExponentOverflowError(
+                    f"line {tok.line}, col {tok.col}: exponent exceeds {EXP_MAX}")
+            return base ** int(digits)
         return base
 
     def primary(self) -> Poly:

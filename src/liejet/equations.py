@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,8 +39,7 @@ class SamplingExhaustedError(RuntimeError):
     """The per-point resampling budget was exhausted."""
 
 
-@dataclass(frozen=True)
-class PdeSystem:
+class PdeSystem(namedtuple("PdeSystem", "n order F top_var theta")):
     """A polynomial-in-jets equation F = 0.
 
     `top_var` is a jet atom in which F is affine-linear; sampling solves for
@@ -48,19 +47,15 @@ class PdeSystem:
     equation either has no parameter or carries it symbolically.
     """
 
-    n: int
-    order: int
-    F: Poly
-    top_var: Atom
-    theta: Fraction | None = None
-
-    def __post_init__(self):
+    def __new__(cls, n, order, F, top_var, theta=None):
+        self = super().__new__(cls, n, order, F, top_var, theta)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if not (self.F.diff(self.top_var)).diff(self.top_var).is_zero:
             raise ValueError("F must be affine-linear in top_var")
         if any(a[0] == KIND_FUNC for a in self.F.atoms()):
             raise ValueError("F must not contain unknown-function symbols")
+        return self
 
     @property
     def theta_symbolic(self) -> bool:

@@ -20,10 +20,10 @@ residual is one polynomial.  `act` refuses local elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
 
 from .algebra import (
     Atom,
@@ -92,22 +92,14 @@ def _mat_inverse(rows: Mat) -> Mat:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "n q p dvec c r d")):
     """Affine transformation of graph space in block form.
 
     linear = [[Q, P], [D, c]] acting on (x, u); shift = (R, d).
     """
 
-    n: int
-    q: Mat
-    p: Vec
-    dvec: Vec
-    c: Fraction
-    r: Vec
-    d: Fraction
-
-    def __post_init__(self):
+    def __new__(cls, n, q, p, dvec, c, r, d):
+        self = super().__new__(cls, n, q, p, dvec, c, r, d)
         n = self.n
         if len(self.q) != n or any(len(row) != n for row in self.q):
             raise ValueError("Q block has wrong shape")
@@ -115,6 +107,7 @@ class GroupElement:
             raise ValueError("vector block has wrong shape")
         if rat_det(self.linear()) == 0:
             raise SingularError("element's linear part is singular")
+        return self
 
     @property
     def local(self) -> bool:
@@ -158,20 +151,14 @@ def make_am_element(q, p, dvec, c, r, d, regime: str = "am-generic") -> GroupEle
 
 # -- solution samples ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionSample:
+class SolutionSample(namedtuple("SolutionSample", "n kind poly fn center radius",
+                                defaults=(None, None, (), math.inf))):
     """A candidate solution: exact polynomial or black-box evaluator.
 
-    `center`/`radius` hint at a neighbourhood where the function is defined
-    and convex.
+    `kind` is "polynomial" (with `poly`) or "callable" (with `fn`, a
+    function of a float point).  `center`/`radius` hint at a neighbourhood
+    where the function is defined and convex.
     """
-
-    n: int
-    kind: str  # "polynomial" | "callable"
-    poly: Poly | None = None
-    fn: Callable[[Sequence[float]], float] | None = None
-    center: tuple[float, ...] = ()
-    radius: float = math.inf
 
     def __call__(self, x: Sequence[float]) -> float:
         if self.kind == "polynomial":
@@ -360,8 +347,7 @@ def residual(s: SolutionSample, sys: PdeSystem, points: Sequence[Sequence]) -> l
 
 # -- exact transport by a local element ----------------------------------------------
 
-@dataclass(frozen=True)
-class LocalTransport:
+class LocalTransport(namedtuple("LocalTransport", "image delta power cleared")):
     """A polynomial solution transported by a local element, parametrized
     by the source point x.
 
@@ -370,11 +356,6 @@ class LocalTransport:
     polynomial in x.  Zero is a certificate that the transported function
     solves F = 0 wherever delta != 0.
     """
-
-    image: tuple[Poly, ...]
-    delta: Poly
-    power: int
-    cleared: Poly
 
     def at(self, x0: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
         """The image point x~(x0) and the exact residual of the transported

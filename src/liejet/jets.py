@@ -14,10 +14,10 @@ exactly for every field, which the test suite checks on random inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     Atom,
@@ -65,15 +65,11 @@ def _check_point_coefficient(p: Poly, n: int, what: str) -> None:
             f"{what} must be a polynomial in x1..x{n} and u, found {atom_str(a)}")
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(namedtuple("VectorField", "n xi phi")):
     """A point vector field xi^i(x,u) d/dx^i + phi(x,u) d/du."""
 
-    n: int
-    xi: tuple[Poly, ...]
-    phi: Poly
-
-    def __post_init__(self):
+    def __new__(cls, n, xi, phi):
+        self = super().__new__(cls, n, xi, phi)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if len(self.xi) != self.n:
@@ -81,6 +77,7 @@ class VectorField:
         for s, p in enumerate(self.xi, start=1):
             _check_point_coefficient(p, self.n, f"xi{s}")
         _check_point_coefficient(self.phi, self.n, "phi")
+        return self
 
     def apply_to(self, p: Poly) -> Poly:
         """Act on a polynomial in (x, u) as a first-order operator."""
@@ -100,15 +97,13 @@ def _first_order_action(xi: Sequence[Poly], phi: Poly, p: Poly) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class SymbolicVectorField:
+class SymbolicVectorField(namedtuple("SymbolicVectorField", "n")):
     """The undetermined field whose components are formal derivative atoms."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
+        return super().__new__(cls, n)
 
 
 Field = VectorField | SymbolicVectorField

@@ -18,15 +18,14 @@ checks that a basis of generators closes under the Lie bracket.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from math import factorial, prod
 from operator import add, itemgetter, or_
-from typing import Callable, Iterable, Iterator
 
 from .algebra import (
-    Atom,
     DEP,
     KIND_COORD,
     KIND_DEP,
@@ -83,45 +82,22 @@ class NotClosedError(Exception):
         self.bracket = bracket
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one infinitesimal invariance check; `witness` and
-    `residual` are None on a `fails` that elimination decided."""
-
-    verdict: str
-    samples: int
-    seed: int
-    trials: int
-    multiplier: Poly | None = None
-    witness: dict[Atom, Fraction] | None = None
-    residual: Fraction | None = None
+class CheckReport(namedtuple("CheckReport", "verdict samples seed trials "
+                             "multiplier witness residual",
+                             defaults=(None, None, None))):
+    """Outcome of one invariance check: a `multiplier`, or a `witness` point
+    and its `residual`, or none of them on a `fails` elimination decided."""
 
     @property
     def passed(self) -> bool:
         return self.verdict != VERDICT_FAILS
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
-    """Homogeneous linear system for the unknown coefficient functions.
-
-    Every equation is a polynomial of degree 1 in the formal derivative
-    atoms with rational coefficients; no jet atoms remain.
-    """
-
-    unknowns: tuple[Atom, ...]
-    equations: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
-class GeneratorBasis:
+class GeneratorBasis(namedtuple("GeneratorBasis", "fields n regime")):
     """A linearly independent list of generators for one regime."""
 
-    fields: tuple[VectorField, ...]
-    n: int
-    regime: str
-
-    def __post_init__(self):
+    def __new__(cls, fields, n, regime):
+        self = super().__new__(cls, fields, n, regime)
         monos = _span_monomials(self.fields)
         vecs = [_field_vector(v, monos) for v in self.fields]
         # columns = fields; independence <=> trivial nullspace
@@ -129,6 +105,7 @@ class GeneratorBasis:
         dim, _ = nullspace(rows, ncols=len(self.fields))
         if dim != 0:
             raise ValueError(f"generator basis for {self.regime} is dependent")
+        return self
 
 
 def infinitesimal_check(sys: PdeSystem, v: Field,
@@ -338,10 +315,9 @@ def _shards(pairs: list[tuple[Poly, Poly]], atom_of: dict) -> Iterator[dict]:
         yield groups
 
 
-def _linear_system(shards: Iterable[dict], key: Callable
-                   ) -> tuple[tuple[Atom, ...], tuple[Poly, ...]]:
-    """(unknowns, equations) from shards of `_add_products` groups that
-    share no jet monomial: one equation per class of nonzero groups that
+def _linear_system(shards: Iterable[dict], key: Callable) -> tuple[Poly, ...]:
+    """The equations from shards of `_add_products` groups that share no
+    jet monomial: one equation per class of nonzero groups that
     are multiples of each other, scaled to leading coefficient 1 (at the
     largest atom), in the order of the class's smallest `key`, which does
     not depend on the order groups arrive in and is that of sorting every
@@ -367,12 +343,23 @@ def _linear_system(shards: Iterable[dict], key: Callable
         lead = terms[max(terms)]
         equations.append(Poly({1 << _shift(a): exact_quotient(c, lead)
                                for a, c in terms.items()}))
-    unknowns = sorted({a for eq in equations for a in eq.atoms()})
-    return tuple(unknowns), tuple(equations)
+    return tuple(equations)
 
 
-def extract_determining(sys: PdeSystem) -> DeterminingSystem:
-    """Linear determining system at a pinned parameter value.
+class _Equations(tuple):
+    """The equations of a determining system, a tuple that also answers
+    `.equations`, the name perfbench/tracer.py counts them by."""
+
+    @property
+    def equations(self) -> tuple[Poly, ...]:
+        return self
+
+
+def extract_determining(sys: PdeSystem) -> tuple[Poly, ...]:
+    """Linear determining system at a pinned parameter value: the
+    homogeneous equations for the unknown coefficient functions, each a
+    polynomial of degree 1 in the formal derivative (func) atoms with
+    rational coefficients; no jet atoms remain.
 
     The prolongation of the undetermined field is applied to F, the top
     variable is eliminated by the exact solution of F = 0 (denominators
@@ -409,15 +396,14 @@ def extract_determining(sys: PdeSystem) -> DeterminingSystem:
     atom_of = {1 << _shift(a): a for a in R.atoms() if a[0] == KIND_FUNC}
     pairs = [(c, weights[r]) for r, c in powers.items() if not weights[r].is_zero]
     jets = {a for p in itertools.chain(*pairs) for a in p.atoms() if a[0] != KIND_FUNC}
-    return DeterminingSystem(*_linear_system(_shards(pairs, atom_of),
-                                             tuple_order(jets)))
+    return _Equations(_linear_system(_shards(pairs, atom_of), tuple_order(jets)))
 
 
-def satisfies_determining(ds: DeterminingSystem, v: VectorField) -> bool:
-    """True when the concrete field, substituted into every equation of the
-    system, leaves the zero polynomial in (x, u)."""
+def satisfies_determining(eqs: tuple[Poly, ...], v: VectorField) -> bool:
+    """True when the concrete field, substituted into every determining
+    equation, leaves the zero polynomial in (x, u)."""
     return all(eq.substitute_atoms(func_partial_values(v, eq.atoms())).is_zero
-               for eq in ds.equations)
+               for eq in eqs)
 
 
 # -- Taylor-coefficient rows ---------------------------------------------------------
@@ -428,7 +414,7 @@ def _exponents(n: int, low: int, high: int) -> list[tuple[int, ...]]:
             if low <= sum(a) <= high]
 
 
-def taylor_rows(ds: DeterminingSystem, n: int, order: int
+def taylor_rows(eqs: tuple[Poly, ...], n: int, order: int
                 ) -> list[dict[tuple[int, tuple[int, ...]], int | Fraction]]:
     """The rows d^beta(eq) for every equation and every |beta| <= order.
 
@@ -439,7 +425,7 @@ def taylor_rows(ds: DeterminingSystem, n: int, order: int
     """
     shifts = _exponents(n, 0, order)
     rows = []
-    for eq in ds.equations:
+    for eq in eqs:
         terms = _taylor_terms(eq, n)
         rows += (_shifted(terms, beta) for beta in shifts)
     return rows
@@ -460,15 +446,15 @@ def _shifted(terms, beta: tuple[int, ...]) -> dict:
             for comp, alpha, lam in terms}
 
 
-def degree_certified(ds: DeterminingSystem, n: int, degree: int,
+def degree_certified(eqs: tuple[Poly, ...], n: int, degree: int,
                      order: int) -> bool:
-    """True when `taylor_rows(ds, n, order)` span every Taylor column of
+    """True when `taylor_rows(eqs, n, order)` span every Taylor column of
     order degree+1: all (comp, alpha) with |alpha| = degree+1, also those
     no row touches.  Each such derivative of a solution then vanishes at
     every point, so every solution is a polynomial field of degree <=
     degree (Reid, Eur. J. Appl. Math. 2, 1991).  False only means the rows
     up to this order do not show it."""
-    rows = taylor_rows(ds, n, order)
+    rows = taylor_rows(eqs, n, order)
     targets = list(itertools.product(range(n + 1),
                                      _exponents(n, degree + 1, degree + 1)))
     index = {c: k for k, c in enumerate(
@@ -482,13 +468,13 @@ def degree_certified(ds: DeterminingSystem, n: int, degree: int,
 # -- bounded-degree ansatz ----------------------------------------------------------
 
 def ansatz_dimension(sys: PdeSystem, degree: int,
-                     dets: DeterminingSystem | None = None
+                     eqs: tuple[Poly, ...] | None = None
                      ) -> tuple[int, list[VectorField]]:
     """Dimension (and a basis) of the space of polynomial fields of total
     degree <= degree solving the determining system.
 
     A degree-K field has no Taylor coefficient of order > K: its equations
-    are `taylor_rows(ds, n, K)` without those columns.  A row d^beta(eq)
+    are `taylor_rows(eqs, n, K)` without those columns.  A row d^beta(eq)
     keeps a column only when (lowest order in eq) + |beta| <= K, so only
     those rows are built, in the same order.  Scaling column
     (comp, alpha) by alpha! makes the unknowns the monomial coefficients,
@@ -497,14 +483,15 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
     """
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
-    ds = dets if dets is not None else extract_determining(sys)
+    if eqs is None:
+        eqs = extract_determining(sys)
     n = sys.n
     exps = _exponents(n, 0, degree)
     comps = [*range(1, n + 1), 0]
     col_of = {c: k for k, c in enumerate(itertools.product(comps, exps))}
     scale = {a: prod(map(factorial, a)) for a in exps}
     rows = {}  # integer primitive form -> row, so copies are dropped
-    for eq in ds.equations:
+    for eq in eqs:
         terms = _taylor_terms(eq, n)
         low = min((sum(alpha) for _, alpha, _ in terms), default=degree + 1)
         for beta in _exponents(n, 0, degree - low):

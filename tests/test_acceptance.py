@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from liejet.algebra import DEP, Poly, coord, jet
+from liejet.algebra import DEP, Poly, coord
 from liejet.equations import (
     build_affine_maximal,
     build_monge_ampere,
@@ -157,17 +157,17 @@ def test_criterion_5_ansatz_dimension_counts():
         (build_affine_maximal(3, Fraction(4, 5)), (2,), 20, 1, 0),
     ]
     for sys_, degrees, count, degree, order in cases:
-        ds = extract_determining(sys_)  # one extraction per system
-        ok = ok and degree_certified(ds, sys_.n, degree, order)
+        eqs = extract_determining(sys_)  # one extraction per system
+        ok = ok and degree_certified(eqs, sys_.n, degree, order)
         for k in degrees:
-            ok = ok and ansatz_dimension(sys_, k, ds)[0] == count
+            ok = ok and ansatz_dimension(sys_, k, eqs)[0] == count
     _report(5, "ansatz dimension counts", ok)
 
 
 def test_criterion_6_determining_system_fidelity():
     """The extracted N=2 second-order system is satisfied identically by
     the affine family with trace condition, and rejects x1^2 d/dx1."""
-    ds = extract_determining(build_monge_ampere(2))
+    eqs = extract_determining(build_monge_ampere(2))
     x1 = Poly.variable(coord(1))
     x2 = Poly.variable(coord(2))
     u = Poly.variable(DEP)
@@ -188,9 +188,9 @@ def test_criterion_6_determining_system_fidelity():
     ]
     ok = ok and len(family) == 9
     for v in family:
-        ok = ok and satisfies_determining(ds, v)
+        ok = ok and satisfies_determining(eqs, v)
     bad = VectorField(2, (x1 * x1, ZERO), ZERO)
-    ok = ok and not satisfies_determining(ds, bad)
+    ok = ok and not satisfies_determining(eqs, bad)
     _report(6, "determining system fidelity", ok)
 
 

@@ -125,6 +125,21 @@ class TestCheck:
         assert json.loads(out)["error"]["type"] == "SamplingExhaustedError"
         assert "Traceback" not in err
 
+    def test_huge_constant_power_is_an_error_report(self, capsys, tmp_path):
+        # a constant base never overflows a packed exponent field, so the
+        # parser refuses the literal before 2^9999999999 is expanded
+        field = tmp_path / "f.vf"
+        field.write_text("phi = 1")
+        code = main(["--n", "1", "check", "--eq", "custom", "--expr",
+                     "u[1,1] - 2^9999999999", "--field", str(field),
+                     "--output", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ExponentOverflowError",
+            "message": "line 1, col 12: exponent exceeds 127"}
+        assert "Traceback" not in err
+
 
 class TestClassify:
     @pytest.mark.parametrize("theta,expected", [("1", 10), ("3/4", 12)])
@@ -397,6 +412,20 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, argv, modules):
         assert "groups" not in loaded["modules"]
     if argv[0] in ("orbit", "sample"):
         assert not {"symmetry", "jets", "dsl"} & set(loaded["modules"])
+
+
+def test_engine_imports_no_dataclasses_inspect_or_typing():
+    # each of them costs every process milliseconds of import; -S keeps the
+    # site packages' own imports out of the count
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, liejet.cli, liejet.algebra, liejet.jets, "
+         "liejet.equations, liejet.symmetry, liejet.groups, liejet.dsl; "
+         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSample:

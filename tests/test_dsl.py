@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liejet.algebra import DEP, ExponentOverflowError, Poly, coord, jet, poly_str
+from liejet.algebra import DEP, ExponentOverflowError, Poly, coord, poly_str
 from liejet.dsl import (
     DivisionNotSupportedError,
     IndexOutOfRangeError,
@@ -14,7 +14,7 @@ from liejet.dsl import (
     parse_vector_field,
 )
 from liejet.equations import build_affine_maximal, build_monge_ampere
-from liejet.jets import JetInCoefficientError, VectorField
+from liejet.jets import JetInCoefficientError
 
 
 class TestParseExpression:
@@ -69,6 +69,17 @@ class TestParseExpression:
         # refused as soon as an exponent passes EXP_MAX, without expanding
         with pytest.raises(ExponentOverflowError):
             parse_expression("(x1 + u)^1000000000", 1)
+
+    def test_huge_constant_power_refused(self):
+        # a constant base never overflows a packed field: the literal is
+        # refused up front, with its position
+        with pytest.raises(ExponentOverflowError, match="line 1, col 3"):
+            parse_expression("2^9999999999", 1)
+        with pytest.raises(ExponentOverflowError, match="line 2, col 6"):
+            parse_expression("1 +\nx1 ^ 128", 1)
+        assert parse_expression("2^127", 1) == Poly.const(2 ** 127)
+        assert parse_expression("2^" + "0" * 5000 + "7 + x1^000", 1) == \
+            Poly.const(129)
 
 
 ATOMS = st.sampled_from(["x1", "x2", "u", "u[1]", "u[1,1]", "u[1,2]", "theta"])

@@ -57,6 +57,7 @@ NOT_REACHED = {
     "groups.SolutionSample.gradient": "tracer hook (perfbench/tracer.py wraps it)",
     "groups._zeros": "called only by make_ma_element",
     "groups.make_ma_element": "oracle: the second-order group element",
+    "symmetry._Equations.equations": "tracer hook (perfbench/tracer.py reads it)",
     "symmetry.satisfies_determining": "oracle of the determining system",
     "symmetry.taylor_rows": "certificate: rows of degree_certified",
     "symmetry.degree_certified": "certificate: the degree bound of a count",

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -34,7 +33,6 @@ from liejet.equations import (
 )
 from liejet.jets import SymbolicVectorField, VectorField, apply_prolonged
 from liejet.symmetry import (
-    DeterminingSystem,
     ExplicitVariableError,
     GeneratorBasis,
     _add_products,
@@ -340,6 +338,11 @@ def linear_system_reference(eqs):
     return tuple(unknowns), tuple(equations)
 
 
+def unknowns_of(equations):
+    """The unknowns of a determining system: its sorted atoms."""
+    return tuple(sorted({a for eq in equations for a in eq.atoms()}))
+
+
 UNKNOWN_POOL = [func_partial(0), func_partial(1, (1,)), func_partial(0, (1, 2)),
                 func_partial(2, (), 1), func_partial(1, (2,), 1)]
 nonzero_rationals = st.one_of(
@@ -395,9 +398,9 @@ class TestLinearSystem:
     @example([PHI + XI1_X1, -2 * PHI - 2 * XI1_X1, PHI - XI1_X1, 3 * PHI,
               Fraction(-1, 2) * PHI, XI1_X1, Poly.zero()])
     def test_matches_reference(self, groups):
-        unknowns, equations = _linear_system([as_groups(groups)], position)
+        equations = _linear_system([as_groups(groups)], position)
         ref_unknowns, ref_equations = linear_system_reference(groups)
-        assert unknowns == ref_unknowns
+        assert unknowns_of(equations) == ref_unknowns
         assert list(equations) == list(ref_equations)
 
     def test_smallest_key_orders_a_class(self):
@@ -405,7 +408,7 @@ class TestLinearSystem:
         # first copy would be after sorting every group by key
         groups = as_groups([XI1_X1, 2 * PHI + XI1_X1, 3 * PHI, PHI])
         shards = [{k: groups[k] for k in ks} for ks in ((3, 1), (0,), (2,))]
-        _, equations = _linear_system(shards, position)
+        equations = _linear_system(shards, position)
         assert list(equations) == [XI1_X1, 2 * PHI + XI1_X1, PHI]
 
     def test_cancelled_groups(self):
@@ -423,12 +426,13 @@ class TestLinearSystem:
         [m1], [m2] = u1.terms, u2.terms
         assert groups[m1] == (phi, 0) and groups[m1 + m2] == {phi: 2, xi: 0}
         order = tuple_order([jet(1), jet(2)])
-        unknowns, equations = _linear_system([groups], order)
-        assert unknowns == (phi,) and list(equations) == [PHI]
+        equations = _linear_system([groups], order)
+        assert unknowns_of(equations) == (phi,) and list(equations) == [PHI]
         cleared = sum((c * w for c, w in products), Poly.zero())
         ref = cleared.collect(lambda a: a[0] != KIND_FUNC)
         assert linear_system_reference(
-            ref[k] for k in sorted(ref, key=order)) == (unknowns, equations)
+            ref[k] for k in sorted(ref, key=order)) == (unknowns_of(equations),
+                                                        equations)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -460,10 +464,10 @@ def determining_reference(sys):
 
 
 def assert_matches_reference(sys):
-    ds = extract_determining(sys)
+    eqs = extract_determining(sys)
     unknowns, equations = determining_reference(sys)
-    assert ds.unknowns == unknowns
-    assert [eq.terms for eq in ds.equations] == [eq.terms for eq in equations]
+    assert unknowns_of(eqs) == unknowns
+    assert [eq.terms for eq in eqs] == [eq.terms for eq in equations]
 
 
 @st.composite
@@ -562,8 +566,8 @@ class TestShards:
 
 class TestDetermining:
     def test_ma_family_satisfies_identically(self, ma2):
-        ds = extract_determining(ma2)
-        assert len(ds.equations) > 0
+        eqs = extract_determining(ma2)
+        assert len(eqs) > 0
         # xi = A x + B, phi = D x + c u + d with tr A = N c / 2; check a
         # spanning set of the 9-parameter family
         family = []
@@ -577,16 +581,15 @@ class TestDetermining:
                    vf(2, [ZERO, ZERO], ONE)]
         assert len(family) == 9
         for v in family:
-            assert satisfies_determining(ds, v)
+            assert satisfies_determining(eqs, v)
 
     def test_ma_rejects_quadratic_scaling(self, ma2):
-        ds = extract_determining(ma2)
+        eqs = extract_determining(ma2)
         bad = vf(2, [x1 * x1, ZERO])
-        assert not satisfies_determining(ds, bad)
+        assert not satisfies_determining(eqs, bad)
 
     def test_no_jets_and_linear_in_unknowns(self, ma2):
-        ds = extract_determining(ma2)
-        for eq in ds.equations:
+        for eq in extract_determining(ma2):
             for m in eq.terms:
                 mono = mono_pairs(m)
                 assert len(mono) == 1
@@ -594,22 +597,21 @@ class TestDetermining:
                 assert atom[0] == 3 and e == 1  # one unknown symbol, degree 1
 
     def test_am_theta1_rejects_graph_shear_accepts_scaling(self, am2_theta1):
-        ds = extract_determining(am2_theta1)
-        assert not satisfies_determining(ds, vf(2, [u, ZERO]))
-        assert satisfies_determining(ds, vf(2, [ZERO, ZERO], u))
+        eqs = extract_determining(am2_theta1)
+        assert not satisfies_determining(eqs, vf(2, [u, ZERO]))
+        assert satisfies_determining(eqs, vf(2, [ZERO, ZERO], u))
 
     def test_am_special_accepts_graph_shear(self, am2_special):
-        ds = extract_determining(am2_special)
-        assert satisfies_determining(ds, vf(2, [u, ZERO]))
+        eqs = extract_determining(am2_special)
+        assert satisfies_determining(eqs, vf(2, [u, ZERO]))
 
     def test_scaling_F_keeps_the_system(self, am2_special):
-        ds = extract_determining(am2_special)
-        scaled = dataclasses.replace(am2_special,
-                                     F=am2_special.F * Fraction(7, 3))
-        ds7 = extract_determining(scaled)
-        assert ds7.unknowns == ds.unknowns
-        assert [eq.terms for eq in ds7.equations] == \
-            [eq.terms for eq in ds.equations]
+        eqs = extract_determining(am2_special)
+        n, order, F, top_var, theta = am2_special
+        eqs7 = extract_determining(
+            PdeSystem(n, order, F * Fraction(7, 3), top_var, theta))
+        assert unknowns_of(eqs7) == unknowns_of(eqs)
+        assert [eq.terms for eq in eqs7] == [eq.terms for eq in eqs]
 
     def test_symbolic_theta_needs_pin(self):
         with pytest.raises(ValueError):
@@ -624,7 +626,7 @@ class TestDetermining:
         assert infinitesimal_check(sys, v, trials=3).verdict == "multiplier-found"
         with pytest.raises(ExplicitVariableError, match="x1"):
             extract_determining(sys)
-        with_u = dataclasses.replace(sys, F=F + x1 - u)
+        with_u = PdeSystem(n=1, order=2, F=F + x1 - u, top_var=jet(1, 1))
         with pytest.raises(ExplicitVariableError, match="u"):
             extract_determining(with_u)
 
@@ -659,9 +661,8 @@ class TestDetermining:
             scalar = scalar - 2 * fp(s, (s,)) - (n + 2) * fp(s, (), 1) * uj(s)
         hand.extend(scalar.collect(lambda a: a[0] != KIND_FUNC).values())
 
-        ds = extract_determining(ma2)
-        unknowns = sorted({a for eq in list(ds.equations) + hand
-                           for a in eq.atoms()})
+        eqs = extract_determining(ma2)
+        unknowns = sorted({a for eq in list(eqs) + hand for a in eq.atoms()})
         idx = {a: k for k, a in enumerate(unknowns)}
 
         def rows(eqs):
@@ -674,9 +675,9 @@ class TestDetermining:
                 out.append(vec)
             return out
 
-        dim_e = nullspace(rows(ds.equations), ncols=len(unknowns))[0]
+        dim_e = nullspace(rows(eqs), ncols=len(unknowns))[0]
         dim_h = nullspace(rows(hand), ncols=len(unknowns))[0]
-        dim_u = nullspace(rows(list(ds.equations) + hand),
+        dim_u = nullspace(rows(list(eqs) + hand),
                           ncols=len(unknowns))[0]
         assert dim_e == dim_h == dim_u
 
@@ -720,8 +721,7 @@ class TestTaylorRows:
         # n = 1: phi_u - xi1_x1 = 0 and every derivative of it up to order 1
         eq = (Poly.variable(func_partial(0, (), 1))
               - Poly.variable(func_partial(1, (1,))))
-        ds = DeterminingSystem((), (eq,))
-        assert taylor_rows(ds, 1, 1) == [
+        assert taylor_rows((eq,), 1, 1) == [
             {(0, (0, 1)): 1, (1, (1, 0)): -1},
             {(0, (0, 2)): 1, (1, (1, 1)): -1},
             {(0, (1, 1)): 1, (1, (2, 0)): -1},
@@ -729,38 +729,37 @@ class TestTaylorRows:
 
     def test_smallest_certified_degree_and_order(self, ma2, am2_theta1,
                                                  am2_special):
-        ds = extract_determining(ma2)
-        assert not degree_certified(ds, 2, 1, 0)
-        assert degree_certified(ds, 2, 1, 1)
+        eqs = extract_determining(ma2)
+        assert not degree_certified(eqs, 2, 1, 0)
+        assert degree_certified(eqs, 2, 1, 1)
         for sys in (am2_theta1, am2_special):
             assert degree_certified(extract_determining(sys), 2, 1, 0)
 
     def test_ma_n1_needs_degree_4(self):
         # u'' = 1 has the 8-dimensional sl(3), whose fields reach degree 4
         sys = build_monge_ampere(1)
-        ds = extract_determining(sys)
-        assert [ansatz_dimension(sys, k, ds)[0] for k in range(1, 5)] == \
+        eqs = extract_determining(sys)
+        assert [ansatz_dimension(sys, k, eqs)[0] for k in range(1, 5)] == \
             [4, 6, 7, 8]
         for degree in range(1, 4):
-            assert not any(degree_certified(ds, 1, degree, order)
+            assert not any(degree_certified(eqs, 1, degree, order)
                            for order in range(4))
-        assert degree_certified(ds, 1, 4, 3)
+        assert degree_certified(eqs, 1, 4, 3)
 
     def test_no_equations_certify_nothing(self):
         # every target column counts, also those no row touches
-        assert not degree_certified(DeterminingSystem((), ()), 2, 1, 2)
+        assert not degree_certified((), 2, 1, 2)
 
     def test_dropping_an_equation_is_seen(self, ma2):
         # negative control: without equation 0 the certificate fails (and
         # a degree-2 field appears); without equation 2 (xi1_u = 0) it holds
         # but the degree-1 count rises, as xi1 = u is then a solution
-        ds = extract_determining(ma2)
+        eqs = extract_determining(ma2)
         for dropped in (0, 2):
-            eqs = ds.equations[:dropped] + ds.equations[dropped + 1:]
-            weaker = DeterminingSystem(ds.unknowns, eqs)
+            weaker = eqs[:dropped] + eqs[dropped + 1:]
             assert (not degree_certified(weaker, 2, 1, 1)
                     or ansatz_dimension(ma2, 1, weaker)[0] > 9)
-        without_0 = DeterminingSystem(ds.unknowns, ds.equations[1:])
+        without_0 = eqs[1:]
         assert not degree_certified(without_0, 2, 1, 1)
         assert ansatz_dimension(ma2, 2, without_0)[0] == 10
 
