@@ -416,6 +416,7 @@ class Poly:
         to the polynomial by the Leibniz rule; image is called once per
         atom."""
         out: dict[Monomial, int | Fraction] = {}
+        get = out.get
         images: dict[Atom, Poly] = {}
         for m, c in self.terms.items():
             for a, e in _fields(m):
@@ -428,12 +429,16 @@ class Poly:
                 ce = c * e
                 for dm, dc in da.terms.items():
                     mm = rest + dm
-                    v = out.get(mm, 0) + ce * dc
+                    v = get(mm, 0) + ce * dc
                     if v:
-                        out[mm] = _canon(v)
+                        out[mm] = v
                     else:
-                        out.pop(mm, None)
+                        del out[mm]
         _check_exponents(out)
+        # canonical once, as in `poly_sum`: the same terms in the same order
+        for m, c in out.items():
+            if type(c) is not int:
+                out[m] = _canon(c)
         return Poly(out)
 
     def substitute_atoms(self, mapping: Mapping[Atom, "Poly"]) -> "Poly":

@@ -53,9 +53,11 @@ class SessionConfig(namedtuple("SessionConfig",
             raise ValueError("output must be 'text' or 'json'")
         return self
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(),
-                "theta": "sym" if self.theta is None else str(self.theta)}
+    def to_dict(self, reads_theta: bool) -> dict:
+        """The options as reported; theta is null for a command without the
+        parameter (MA, prolong, bracket-table)."""
+        theta = "sym" if self.theta is None else str(self.theta)
+        return {**self._asdict(), "theta": theta if reads_theta else None}
 
 
 def _parse_theta(text: str) -> Fraction | None:
@@ -127,14 +129,15 @@ def _report_dict(rep: CheckReport) -> dict:
 
 
 class _Emitter:
-    def __init__(self, command: str, config: SessionConfig):
+    def __init__(self, command: str, config: SessionConfig, reads_theta: bool):
         self.command = command
         self.config = config
+        self.reads_theta = reads_theta
         self.t0 = time.perf_counter()
 
     def _print_json(self, **body) -> None:
         report = {"schema": SCHEMA_VERSION, "command": self.command,
-                  "config": self.config.to_dict(), **body}
+                  "config": self.config.to_dict(self.reads_theta), **body}
         print(json.dumps(report, sort_keys=True, indent=2))
 
     def emit(self, results, exit_code: int) -> int:
@@ -528,7 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    em = _Emitter(args.command, config)
+    # only the fourth-order and custom equations carry theta
+    em = _Emitter(args.command, config, getattr(args, "eq", None) in ("am", "custom"))
     try:
         try:
             code = args.func(args, config, em)

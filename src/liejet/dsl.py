@@ -7,6 +7,10 @@ indices, sorted on ingest), and `theta`.  Literals are integers or rational
 given as `xi1 = <expr>; ...; xiN = <expr>; phi = <expr>` over x and u only;
 omitted components default to zero.
 
+Sizes are bounded as they are parsed, before any arithmetic: an exponent
+is at most `algebra.EXP_MAX`, and a constant power may have at most
+CONST_BITS_MAX bits in its numerator or denominator.
+
 `algebra.poly_str` and `parse_expression` are inverse on canonical forms.
 """
 
@@ -34,6 +38,15 @@ class IndexOutOfRangeError(ParseError):
 
 class DivisionNotSupportedError(ParseError):
     """`/` is only allowed inside a rational literal `p/q`."""
+
+
+class ConstantTooLargeError(ParseError):
+    """A constant power whose numerator or denominator would exceed
+    CONST_BITS_MAX bits."""
+
+
+# the size bound on the value of a constant power, checked before expanding
+CONST_BITS_MAX = 4096
 
 
 Token = namedtuple("Token", "kind value line col")  # kind: "num" | "name" | "op"
@@ -161,7 +174,14 @@ class _Parser:
             if len(digits) > len(str(EXP_MAX)) or int(digits) > EXP_MAX:
                 raise ExponentOverflowError(
                     f"line {tok.line}, col {tok.col}: exponent exceeds {EXP_MAX}")
-            return base ** int(digits)
+            e = int(digits)
+            c = base.as_constant()
+            # (p/q)^e has at most e times the bits of p or of q
+            if c is not None and e * max(abs(c.numerator).bit_length(),
+                                         c.denominator.bit_length()) > CONST_BITS_MAX:
+                raise ConstantTooLargeError(
+                    f"constant power exceeds {CONST_BITS_MAX} bits", tok.line, tok.col)
+            return base ** e
         return base
 
     def primary(self) -> Poly:

@@ -14,6 +14,7 @@ F = 0 exactly, so every returned point lies on the solution variety.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -120,27 +121,47 @@ def build_affine_maximal(n: int, theta=None) -> PdeSystem:
     return PdeSystem(n=n, order=4, F=F, top_var=jet(1, 1, 1, 1), theta=tvalue)
 
 
+def _orderings(idx: tuple[int, ...]) -> int:
+    """The number of distinct orderings of a sorted index tuple."""
+    out = math.factorial(len(idx))
+    for _, run in itertools.groupby(idx):
+        out //= math.factorial(len(list(run)))
+    return out
+
+
+def _u3(a: int, b: int, c: int) -> Poly:
+    # the third-order jet at 0-based indices
+    return Poly.variable(jet(a + 1, b + 1, c + 1))
+
+
 def _contraction_v(U: list[list[Poly]]) -> Poly:
-    # det^3 * u^a_{ai} u^{bi}_b  ==  U^{ij} w_i w_j with w_i = U^{ab} u_{abi}
-    rng = range(1, len(U) + 1)
-    w = {c: poly_sum(U[a - 1][b - 1] * Poly.variable(jet(a, b, c))
-                     for a in rng for b in rng)
-         for c in rng}
-    return poly_sum(U[i - 1][j - 1] * w[i] * w[j] for i in rng for j in rng)
+    # det^3 * u^a_{ai} u^{bi}_b  ==  U^{ij} w_i w_j with w_i = U^{ab} u_{abi};
+    # U is symmetric, so both sums run over sorted pairs, weighted
+    rng = range(len(U))
+    pairs = list(itertools.combinations_with_replacement(rng, 2))
+    w = [poly_sum(_orderings((a, b)) * U[a][b] * _u3(a, b, c) for a, b in pairs)
+         for c in rng]
+    return poly_sum(_orderings((i, j)) * U[i][j] * w[i] * w[j] for i, j in pairs)
 
 
 def _contraction_z(U: list[list[Poly]]) -> Poly:
     # det^3 * u_{ijk} u^{ijk} = u_{abc} w^{abc}, w^{abc} = U^{ai} U^{bj} U^{ck}
-    # u_{ijk}, with the indices of u_{ijk} raised one at a time
+    # u_{ijk}, with the indices of u_{ijk} raised one at a time.  Every
+    # stage is symmetric in the indices it has raised and in those it has
+    # not, so each keeps only sorted index groups, and the final sum runs
+    # over sorted triples weighted by their orderings
     rng = range(len(U))
-    third = {idx: Poly.variable(jet(*(i + 1 for i in idx)))
-             for idx in itertools.product(rng, repeat=3)}
-    w = third
-    for slot in range(3):
-        w = {idx: poly_sum(U[idx[slot]][i] * w[(*idx[:slot], i, *idx[slot + 1:])]
-                           for i in rng)
-             for idx in w}
-    return poly_sum(third[idx] * w[idx] for idx in third)
+    pairs = list(itertools.combinations_with_replacement(rng, 2))
+    # w1[a, (j, k)] = U^{ai} u_{ijk}
+    w1 = {(a, jk): poly_sum(U[a][i] * _u3(i, *jk) for i in rng)
+          for a in rng for jk in pairs}
+    # w2[(a, b), k] = U^{bj} w1[a, (j, k)]
+    w2 = {(ab, k): poly_sum(U[ab[1]][j] * w1[ab[0], tuple(sorted((j, k)))]
+                            for j in rng)
+          for ab in pairs for k in rng}
+    return poly_sum(_orderings(abc) * _u3(*abc)
+                    * poly_sum(U[abc[2]][k] * w2[abc[:2], k] for k in rng)
+                    for abc in itertools.combinations_with_replacement(rng, 3))
 
 
 def _fourth_order_contraction(U: list[list[Poly]]) -> Poly:

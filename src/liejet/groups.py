@@ -402,10 +402,11 @@ def transport_local(g: GroupElement, s: SolutionSample,
         raise NotInvertibleHereError("point map is degenerate at the center")
     adj = sym_adjugate(jac)
 
+    columns = [{coord(j + 1): adj[j][i] for j in range(n)} for i in range(n)]
+
     def along(i: int, f: Poly) -> Poly:
-        # delta * D~_i f; i is 0-based
-        return sum((adj[j][i] * f.diff(coord(j + 1)) for j in range(n)),
-                   Poly.zero())
+        # delta * D~_i f, the derivation x_j -> adj(J)_ji; i is 0-based
+        return f.derivation(lambda a: columns[i].get(a, Poly.zero()))
 
     ldelta = [along(i, delta) for i in range(n)]
     numerators: dict[tuple[int, ...], Poly] = {}

@@ -2,6 +2,8 @@
 
 Total derivatives, the lift of a point vector field to jet space by two
 independent routes, and application of the lifted field to an equation.
+Every first-order operator here (D_i, a field on (x, u), pr v on F) is one
+`Poly.derivation` given the image of each atom (Olver, GTM 107, 2.3).
 
 The recursive route iterates total derivatives of (phi - xi^s u_s) and adds
 the xi^s u_{J,s} correction.  The explicit route assembles the order-1..4
@@ -80,21 +82,8 @@ class VectorField(namedtuple("VectorField", "n xi phi")):
         return self
 
     def apply_to(self, p: Poly) -> Poly:
-        """Act on a polynomial in (x, u) as a first-order operator."""
-        return _first_order_action(self.xi, self.phi, p)
-
-
-def _first_order_action(xi: Sequence[Poly], phi: Poly, p: Poly) -> Poly:
-    """xi^s dp/dx^s + phi dp/du."""
-    out = Poly.zero()
-    for s, xi_s in enumerate(xi, start=1):
-        d = p.diff(coord(s))
-        if not d.is_zero:
-            out = out + xi_s * d
-    d = p.diff(DEP)
-    if not d.is_zero:
-        out = out + phi * d
-    return out
+        """Act on a polynomial in (x, u) as xi^s d/dx^s + phi d/du."""
+        return _derivation(self, p, {})
 
 
 class SymbolicVectorField(namedtuple("SymbolicVectorField", "n")):
@@ -422,15 +411,15 @@ def prolong_explicit(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
 def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     """Apply the order-k prolongation of the field to the polynomial F.
 
-    On jet space the distinct coordinates are the sorted u_J, and the formal
-    partial with respect to such an atom already accounts for every ordering
-    of the index tuple, so summing coefficient * dF/du_J over sorted J
-    reproduces the unrestricted-index summation convention.
+    pr v(F) is the derivation of F sending x^s, u and each sorted u_J to
+    xi^s, phi and the `prolong_recursive` coefficient phi^J, and every other
+    atom to 0; the partial by a sorted u_J already counts every ordering of
+    its indices, as the unrestricted summation convention asks.
 
     The result is linear in v and in F, so a concrete field is prolonged as
     lambda*v on L*F, lambda the lcm of the field's coefficient denominators
     and L*F the integer form of F, entirely in `int`, and divided by
-    lambda*L once.  That is the same polynomial, terms in the same order: a
+    lambda*L once: the unscaled derivation's terms, in its order, since a
     sum cancels in the scaled run exactly where it cancels in the rational
     one.
     """
@@ -448,11 +437,13 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
 
 
 def _apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
-    out = _first_order_action(*_base_components(v), F)
-    for J, c in prolong_recursive(v, k).items():
-        if not J:
-            continue
-        d = F.diff(jet(*J))
-        if not d.is_zero:
-            out = out + c * d
-    return out
+    coeffs = prolong_recursive(v, k)
+    return _derivation(v, F, {jet(*J): c for J, c in coeffs.items() if J})
+
+
+def _derivation(v: Field, p: Poly, images: dict[Atom, Poly]) -> Poly:
+    # x^s -> xi^s and u -> phi besides `images`; every other atom -> 0
+    xi, phi = _base_components(v)
+    images[DEP] = phi
+    images.update((coord(s), c) for s, c in enumerate(xi, start=1))
+    return p.derivation(lambda a: images.get(a, Poly.zero()))

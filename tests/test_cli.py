@@ -140,6 +140,21 @@ class TestCheck:
             "message": "line 1, col 12: exponent exceeds 127"}
         assert "Traceback" not in err
 
+    def test_nested_constant_power_is_an_error_report(self, capsys, tmp_path):
+        # each exponent is in range, but the constant would have 9^127^4
+        # digits: the parser refuses the second power by its bit size
+        field = tmp_path / "f.vf"
+        field.write_text("phi = 1")
+        code = main(["--n", "1", "check", "--eq", "custom", "--expr",
+                     "u[1,1] - (((9^127)^127)^127)^127", "--field", str(field),
+                     "--output", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ConstantTooLargeError",
+            "message": "line 1, col 20: constant power exceeds 4096 bits"}
+        assert "Traceback" not in err
+
 
 class TestClassify:
     @pytest.mark.parametrize("theta,expected", [("1", 10), ("3/4", 12)])
@@ -492,3 +507,16 @@ class TestConfigValidation:
 
     def test_decimal_theta_rejected(self, capsys):
         assert main(["--theta", "0.75", "sample", "--eq", "am"]) == 2
+
+    @pytest.mark.parametrize("argv, theta", [
+        (["sample", "--eq", "ma", "--count", "1"], None),
+        (["--theta", "3/4", "sample", "--eq", "ma", "--count", "1"], None),
+        (["--theta", "3/4", "bracket-table", "--basis", "ma"], None),
+        (["sample", "--eq", "am", "--count", "1"], "sym"),
+        (["--theta", "3/4", "sample", "--eq", "am", "--count", "1"], "3/4"),
+    ])
+    def test_theta_reported_only_where_read(self, capsys, argv, theta):
+        # MA, prolong and bracket-table have no parameter: theta is null
+        code, rep = run_json(capsys, ["--n", "2", "--output", "json", *argv])
+        assert code == 0
+        assert rep["config"]["theta"] == theta

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from liejet.algebra import DEP, ExponentOverflowError, Poly, coord, poly_str
 from liejet.dsl import (
+    CONST_BITS_MAX,
+    ConstantTooLargeError,
     DivisionNotSupportedError,
     IndexOutOfRangeError,
     ParseError,
@@ -80,6 +82,36 @@ class TestParseExpression:
         assert parse_expression("2^127", 1) == Poly.const(2 ** 127)
         assert parse_expression("2^" + "0" * 5000 + "7 + x1^000", 1) == \
             Poly.const(129)
+
+    def test_nested_constant_power_refused_before_computing(self, monkeypatch):
+        # the size check reads the base's bit length and the exponent only:
+        # the one power computed is the accepted inner 9^127
+        powers = []
+        real_pow = Poly.__pow__
+
+        def recording(self, e):
+            powers.append((self.as_constant(), e))
+            # fail at once, rather than expand, if a second power is asked
+            assert len(powers) == 1, "a refused power was computed"
+            return real_pow(self, e)
+
+        monkeypatch.setattr(Poly, "__pow__", recording)
+        with pytest.raises(ConstantTooLargeError,
+                           match="line 1, col 20: constant power exceeds 4096 bits"):
+            parse_expression("u[1,1] - (((9^127)^127)^127)^127", 1)
+        assert powers == [(9, 127)]
+
+    def test_constant_power_budget(self):
+        # the bound is on the bits of the numerator and of the denominator
+        assert CONST_BITS_MAX == 4096
+        assert parse_expression("(2^127)^32", 1).as_constant() == 2 ** (127 * 32)
+        assert parse_expression("(1/2^127)^32", 1).as_constant() == \
+            Fraction(1, 2 ** (127 * 32))
+        for text in ["(2^127)^33", "(1/2^127)^33", "(-3^100)^50"]:
+            with pytest.raises(ConstantTooLargeError):
+                parse_expression(text, 1)
+        # a polynomial base is not a constant power
+        assert parse_expression("(9*x1)^2", 1) == 81 * Poly.variable(coord(1)) ** 2
 
 
 ATOMS = st.sampled_from(["x1", "x2", "u", "u[1]", "u[1,1]", "u[1,2]", "theta"])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,26 @@ class TestAffineMaximalBuilder:
         assert sys.F.diff(THETA).diff(THETA).is_zero
 
 
+def full_index_v(U):
+    # U^{ij} w_i w_j, w_i = U^{ab} u_{abi}, over every index tuple
+    rng = range(len(U))
+    w = [sum((U[a][b] * uj(a + 1, b + 1, c + 1) for a in rng for b in rng),
+             Poly.zero()) for c in rng]
+    return sum((U[i][j] * w[i] * w[j] for i in rng for j in rng), Poly.zero())
+
+
+def full_index_z(U):
+    # u_{abc} U^{ai} U^{bj} U^{ck} u_{ijk}, over every index tuple
+    rng = range(len(U))
+    out = Poly.zero()
+    for a, b, c in itertools.product(rng, repeat=3):
+        raised = sum((U[a][i] * U[b][j] * U[c][k] * uj(i + 1, j + 1, k + 1)
+                      for i, j, k in itertools.product(rng, repeat=3)),
+                     Poly.zero())
+        out = out + uj(a + 1, b + 1, c + 1) * raised
+    return out
+
+
 class TestNamedContractions:
     """The det^3-cleared contractions v and z, each given the cofactor
     matrix U of the jet Hessian."""
@@ -106,6 +127,14 @@ class TestNamedContractions:
                     - sym_det(H) * _fourth_order_contraction(U)
                     + _contraction_z(U))
         assert composed == sys.F
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sorted_index_sums_match_full_index_sums(self, n):
+        # the builders sum over sorted index classes, weighted by their
+        # orderings; the references sum over every index tuple
+        U = sym_adjugate(hessian_matrix(n))
+        assert _contraction_v(U).terms == full_index_v(U).terms
+        assert _contraction_z(U).terms == full_index_z(U).terms
 
     def test_quadratic_jet_annihilates(self):
         v = _contraction_v(sym_adjugate(hessian_matrix(2)))

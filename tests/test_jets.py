@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liejet import jets
 from liejet.algebra import (
@@ -15,6 +17,7 @@ from liejet.algebra import (
     mono_pairs,
     poly_str,
 )
+from liejet.dsl import parse_expression
 from liejet.equations import build_affine_maximal
 from liejet.jets import (
     JetInCoefficientError,
@@ -251,10 +254,17 @@ class TestApplyProlonged:
         assert lhs == rhs
 
 
-def reference_apply(v: VectorField, F: Poly, k: int) -> Poly:
-    """pr v(F) = v(F) + sum_J c_J dF/du_J, unscaled, from the recursive
-    prolongation."""
-    out = v.apply_to(F)
+def reference_apply(v, F: Poly, k: int) -> Poly:
+    """pr v(F) = xi^s dF/dx^s + phi dF/du + sum_J c_J dF/du_J, unscaled,
+    one partial derivative per atom, from the recursive prolongation."""
+    if isinstance(v, SymbolicVectorField):
+        xi = [xi_(s) for s in range(1, v.n + 1)]
+        phi = phi_()
+    else:
+        xi, phi = v.xi, v.phi
+    out = phi * F.diff(DEP)
+    for s, xi_s in enumerate(xi, start=1):
+        out = out + xi_s * F.diff(coord(s))
     for J, c in prolong_recursive(v, k).items():
         if J:
             out = out + c * F.diff(jet(*J))
@@ -278,8 +288,10 @@ class TestApplyProlongedScaled:
         if integral_field:
             v = VectorField(2, tuple(p * lam for p in v.xi), v.phi * lam)
         got = apply_prolonged(v, F, k)
-        want = reference_apply(v, F, k)
-        assert list(got.terms.items()) == list(want.terms.items())
+        # the scaled run gives the unscaled derivation's terms in its order
+        unscaled = jets._apply_prolonged(v, F, k)
+        assert list(got.terms.items()) == list(unscaled.terms.items())
+        assert got.terms == reference_apply(v, F, k).terms
         assert all(type(c) is int or c.denominator != 1
                    for c in got.terms.values())
 
@@ -295,6 +307,60 @@ class TestApplyProlongedScaled:
         v = random_vector_field(random.Random(45), 2)
         jets.apply_prolonged(v, AM2_T4_5, 4)
         assert len(calls) == 1
+
+
+# -- pr v(F) as one derivation, against one partial derivative per atom ------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_POINT_ATOMS = [coord(1), coord(2), DEP]
+
+
+def _point_polys(max_terms: int = 3):
+    mono = st.lists(st.sampled_from(_POINT_ATOMS), max_size=2).map(
+        lambda atoms: [(a, atoms.count(a)) for a in set(atoms)])
+    return st.lists(st.tuples(mono, _RATIONALS), max_size=max_terms).map(
+        Poly.from_terms)
+
+
+point_fields = st.builds(lambda x1_, x2_, phi: VectorField(2, (x1_, x2_), phi),
+                         _point_polys(), _point_polys(), _point_polys())
+
+# x, u, theta and jets up to order 4 at N=2, written in the DSL
+_DSL_ATOMS = ["x1", "x2", "u", "theta", "u[1]", "u[2]", "u[1,1]", "u[2,1]",
+              "u[2,2]", "u[1,1,2]", "u[2,2,2]", "u[1,2,2,1]", "u[2,2,2,2]"]
+
+
+@st.composite
+def dsl_equations(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(_RATIONALS)
+        names = draw(st.lists(st.sampled_from(_DSL_ATOMS), max_size=3))
+        terms.append("*".join([f"({c})"] + names))
+    return parse_expression(" + ".join(terms), 2)
+
+
+class TestProlongedAsDerivation:
+    """pr v(F) from `Poly.derivation` equals v(F) + sum_J c_J dF/du_J."""
+
+    @given(point_fields, dsl_equations())
+    @settings(max_examples=40, deadline=None)
+    def test_concrete_field_on_dsl_equation(self, v, F):
+        assert apply_prolonged(v, F, 4) == reference_apply(v, F, 4)
+
+    @pytest.mark.parametrize("theta", [None, Fraction(3, 4)])
+    def test_symbolic_field_on_am(self, theta):
+        F = build_affine_maximal(2, theta).F
+        v = SymbolicVectorField(2)
+        assert apply_prolonged(v, F, 4) == reference_apply(v, F, 4)
+
+    @given(point_fields, _point_polys(max_terms=5))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_to_is_the_point_operator(self, v, p):
+        want = v.phi * p.diff(DEP)
+        for s, xi_s in enumerate(v.xi, start=1):
+            want = want + xi_s * p.diff(coord(s))
+        assert v.apply_to(p) == want
 
 
 class TestVectorFieldValidation:
