@@ -6,12 +6,13 @@ checks reduce to dictionary comparison.  A `Poly` stores one form, its
 packed term map, and derives one other, `Poly.integer_form`: the terms
 times the lcm L of their denominators, all `int`, computed once per
 polynomial (an all-`int` polynomial is its own integer form, with L = 1).
-Products, substitution, evaluation, `denominator_lcm`,
-`jets.apply_prolonged` and `symmetry.extract_determining` read it and so
-keep an integer interior, the fraction-free idea of Bareiss: they work in
-`int` and divide each result once at the end.  The scale is a nonzero
-integer, undone exactly, so values and terms are those of `Fraction`
-arithmetic.
+The kernels (products, derivations, substitution, evaluation and exact
+division) read it and so keep an integer interior, the fraction-free idea
+of Bareiss: they work in `int` and divide each result once at the end.
+The scale is a nonzero integer, undone exactly, so values and terms are
+those of `Fraction` arithmetic, and no caller rescales; only
+`symmetry.extract_determining` reads the integer form outside this module,
+because a homogeneous system does not change when F is scaled.
 
 Atoms (the variables of the ring) are plain tuples with a small integer
 kind tag, so they hash fast and sort with the native tuple order:
@@ -39,9 +40,10 @@ EXP_MAX raises ExponentOverflowError instead of spilling into the next
 field.  Kernels that read exponents walk a monomial's fields with
 `_fields`, in field order.  Field positions depend on the order in which a
 process first met its atoms, so no result may depend on them: every
-ordering (printing, leading terms, sorted listings) goes through
-`mono_pairs`, which returns a monomial as its (atom, exponent) pairs sorted
-by atom, and is used only where text or an atom order is produced.  A Poly
+ordering that reaches output (printing, sorted listings) goes by atom,
+through `mono_pairs`, which returns a monomial as its (atom, exponent)
+pairs sorted by atom and is used only where text or an atom order is
+produced, or through the `lex_order` and `tuple_order` keys.  A Poly
 maps monomials to nonzero coefficients, the zero polynomial being the
 empty map.
 """
@@ -184,8 +186,7 @@ def lex_order(atoms: Iterable[Atom]) -> Callable[[Monomial], bytes]:
     """A sort key for monomials over `atoms`: their exponent bytes (one byte
     per field) in atom order, fixed width, so keys compare as exponent
     vectors.  Earlier (smaller) atoms take priority and a higher exponent
-    sorts larger; the order is multiplicative, which `divide_exact` needs
-    for termination."""
+    sorts larger."""
     fields = [_shift(a) // EXP_BITS for a in sorted(set(atoms))]
     width = max(fields, default=-1) + 1
     if not fields:
@@ -414,20 +415,31 @@ class Poly:
     def derivation(self, image: Callable[[Atom], "Poly"]) -> "Poly":
         """The derivation D with D(a) = image(a) on every atom a, extended
         to the polynomial by the Leibniz rule; image is called once per
-        atom."""
-        out: dict[Monomial, int | Fraction] = {}
+        atom of the polynomial.
+
+        The sum runs in integers: with L the lcm of the coefficient
+        denominators, L_a that of the image of a and S the lcm of every
+        L_a, the terms are scaled by L and the image of a by S, all `int`,
+        and each output term is divided by L * S once.  A sum cancels in the scaled run
+        exactly where it cancels in the rational one, so the terms come in
+        the same order.
+        """
+        terms, scale = self.integer_form()
+        forms = {a: image(a).integer_form() for a in self.atoms()}
+        common = lcm(*(s for _, s in forms.values()))
+        images = {a: t if s == common else
+                  {m: c * (common // s) for m, c in t.items()}
+                  for a, (t, s) in forms.items()}
+        out: dict[Monomial, int] = {}
         get = out.get
-        images: dict[Atom, Poly] = {}
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             for a, e in _fields(m):
-                da = images.get(a)
-                if da is None:
-                    da = images[a] = image(a)
-                if not da.terms:
+                da = images[a]
+                if not da:
                     continue
                 rest = m - (1 << _SHIFT[a])
                 ce = c * e
-                for dm, dc in da.terms.items():
+                for dm, dc in da.items():
                     mm = rest + dm
                     v = get(mm, 0) + ce * dc
                     if v:
@@ -435,11 +447,7 @@ class Poly:
                     else:
                         del out[mm]
         _check_exponents(out)
-        # canonical once, as in `poly_sum`: the same terms in the same order
-        for m, c in out.items():
-            if type(c) is not int:
-                out[m] = _canon(c)
-        return Poly(out)
+        return Poly(_divided(out, scale * common))
 
     def substitute_atoms(self, mapping: Mapping[Atom, "Poly"]) -> "Poly":
         """Replace every occurrence of the mapped atoms, re-expanding.
@@ -594,12 +602,6 @@ def exact_quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return _canon(Fraction(a) / b)
 
 
-def denominator_lcm(*polys: Poly) -> int:
-    """The lcm of the coefficient denominators of the polynomials: the least
-    positive integer that makes every coefficient integral."""
-    return lcm(*(p.integer_form()[1] for p in polys))
-
-
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
@@ -673,9 +675,13 @@ def poly_str(p: Poly) -> str:
 def divide_exact(p: Poly, q: Poly) -> Poly | None:
     """Return mu with p == mu * q when such a polynomial exists, else None.
 
-    Single-divisor long division under a fixed lexicographic order; for one
-    divisor the division remainder is canonical, so a zero remainder is both
-    necessary and sufficient for exact divisibility.
+    Single-divisor long division of the integer forms, P = L_p * p by
+    Q = L_q * q, so mu is their quotient times L_q / L_p.  The leading term
+    is the largest packed monomial: packed addition never carries, so that
+    is a monomial order (lex, by field), and for one divisor the remainder
+    under a monomial order is canonical, so a zero remainder is both
+    necessary and sufficient for exact divisibility, and the quotient is
+    the unique one whatever the order.
     """
     if q.is_zero:
         raise DivisorZeroError("division by the zero polynomial")
@@ -684,15 +690,15 @@ def divide_exact(p: Poly, q: Poly) -> Poly | None:
     qc = q.as_constant()
     if qc is not None:
         return p * exact_quotient(1, qc)
-    key = lex_order(p.atoms() | q.atoms())
-    q_items = list(q.terms.items())
-    lt_q = max(q.terms, key=key)
-    c_q = q.terms[lt_q]
+    (P, lp), (Q, lq) = p.integer_form(), q.integer_form()
+    q_items = list(Q.items())
+    lt_q = max(Q)
+    c_q = Q[lt_q]
 
-    rem = dict(p.terms)
+    rem = dict(P)
     quot: dict[Monomial, int | Fraction] = {}
     while rem:
-        lt = max(rem, key=key)
+        lt = max(rem)
         # lt_q divides lt iff no field borrows: with the guard bits set in
         # lt, a field of lt below that of lt_q clears its guard bit
         guard = _GUARD
@@ -710,7 +716,7 @@ def divide_exact(p: Poly, q: Poly) -> Poly | None:
                 rem[mm] = v
             else:
                 rem.pop(mm, None)
-    return Poly(quot)
+    return Poly(quot) * Fraction(lq, lp)
 
 
 # -- symbolic matrices ---------------------------------------------------------

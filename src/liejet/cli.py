@@ -539,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         except BrokenPipeError:
             raise
         except (ValueError, OSError, KeyError, RuntimeError,
-                ZeroDivisionError) as exc:
+                ArithmeticError) as exc:
             code = em.error(exc)
         sys.stdout.flush()
         return code

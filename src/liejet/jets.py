@@ -34,7 +34,6 @@ from .algebra import (
     atom_str,
     _fields,
     coord,
-    denominator_lcm,
     func_partial,
     jet,
     multi_indices,
@@ -369,24 +368,29 @@ def _explicit_symbolic_coeff(n: int, J: tuple[int, ...]) -> Poly:
     raise UnsupportedOrderError(f"no closed formula for order {order}")
 
 
-def func_partial_values(v: VectorField, atoms: Iterable[Atom]) -> dict[Atom, Poly]:
-    """The concrete (x, u)-polynomial each formal derivative atom among
-    `atoms` stands for; other atoms are skipped."""
-    out: dict[Atom, Poly] = {}
-    for a in atoms:
-        if a[0] == KIND_FUNC:
-            _, comp, xs, du = a
-            out[a] = point_partial(v.phi if comp == 0 else v.xi[comp - 1], xs, du)
-    return out
+def func_partial_values(v: VectorField) -> Callable[[Atom], Poly]:
+    """The image that puts the concrete field into a polynomial of degree 1
+    in the formal derivative atoms, as one `Poly.derivation`: each such atom
+    goes to the (x, u)-polynomial it stands for, every other atom to 0.
+    Each image is computed once per field."""
+
+    @lru_cache(maxsize=None)
+    def image(a: Atom) -> Poly:
+        if a[0] != KIND_FUNC:
+            return Poly.zero()
+        _, comp, xs, du = a
+        return point_partial(v.phi if comp == 0 else v.xi[comp - 1], xs, du)
+
+    return image
 
 
 def prolong_explicit(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
     """Prolongation assembled from the order-by-order closed formulas.
 
     Independent of `prolong_recursive`: coefficients are built symbolically
-    from the explicit expansion and, for a concrete field, the formal
-    derivative symbols are then replaced by actual partial derivatives of
-    the field's components.
+    from the explicit expansion.  Each has degree 1 in the formal
+    derivative symbols, so a concrete field replaces them by the actual
+    partial derivatives of its components with one derivation.
     """
     if not 1 <= k <= MAX_PROLONGATION_ORDER:
         raise UnsupportedOrderError(
@@ -394,17 +398,11 @@ def prolong_explicit(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
     n = v.n
     _, phi = _base_components(v)
     coeffs: dict[tuple[int, ...], Poly] = {(): phi}
-    concrete = isinstance(v, VectorField)
-    values: dict[Atom, Poly] = {}  # each formal derivative's value, once
+    values = func_partial_values(v) if isinstance(v, VectorField) else None
     for order in range(1, k + 1):
         for J in multi_indices(n, order):
             c = _explicit_symbolic_coeff(n, J)
-            if concrete:
-                atoms = c.atoms()
-                values.update(func_partial_values(v, atoms - values.keys()))
-                c = c.substitute_atoms({a: values[a] for a in atoms
-                                        if a in values})
-            coeffs[J] = c
+            coeffs[J] = c if values is None else c.derivation(values)
     return coeffs
 
 
@@ -414,29 +412,14 @@ def apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     pr v(F) is the derivation of F sending x^s, u and each sorted u_J to
     xi^s, phi and the `prolong_recursive` coefficient phi^J, and every other
     atom to 0; the partial by a sorted u_J already counts every ordering of
-    its indices, as the unrestricted summation convention asks.
-
-    The result is linear in v and in F, so a concrete field is prolonged as
-    lambda*v on L*F, lambda the lcm of the field's coefficient denominators
-    and L*F the integer form of F, entirely in `int`, and divided by
-    lambda*L once: the unscaled derivation's terms, in its order, since a
-    sum cancels in the scaled run exactly where it cancels in the rational
-    one.
+    its indices, as the unrestricted summation convention asks.  Rational
+    coefficients, in the field or in F, stay inside the derivation's
+    integer interior.
     """
     max_order = F.max_jet_order()
     if k < max_order:
         raise OrderTooLowError(
             f"prolongation order {k} < equation order {max_order}")
-    if isinstance(v, VectorField):
-        lam = denominator_lcm(*v.xi, v.phi)
-        terms, L = F.integer_form()
-        if lam * L != 1:
-            v = VectorField(v.n, tuple(p * lam for p in v.xi), v.phi * lam)
-            return _apply_prolonged(v, Poly(terms), k) * Fraction(1, lam * L)
-    return _apply_prolonged(v, F, k)
-
-
-def _apply_prolonged(v: Field, F: Poly, k: int) -> Poly:
     coeffs = prolong_recursive(v, k)
     return _derivation(v, F, {jet(*J): c for J, c in coeffs.items() if J})
 

@@ -41,7 +41,6 @@ from .algebra import (
     divide_exact,
     exact_quotient,
     integer_primitive,
-    mono_pairs,
     nullspace,
     _reduced_echelon,
     _solve_columns,
@@ -124,11 +123,9 @@ def infinitesimal_check(sys: PdeSystem, v: Field,
     R = apply_prolonged(v, sys.F, sys.order)
     if R.is_zero:
         return CheckReport(VERDICT_IDENTICAL, 0, seed, trials)
-    (r_terms, lam), (f_terms, L) = R.integer_form(), sys.F.integer_form()
-    mu = divide_exact(Poly(r_terms), Poly(f_terms))  # lam*R = mu * L*F
+    mu = divide_exact(R, sys.F)
     if mu is not None:
-        return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials,
-                           multiplier=mu * exact_quotient(L, lam))
+        return CheckReport(VERDICT_MULTIPLIER, 0, seed, trials, multiplier=mu)
     for idx in range(trials):
         pt = sample_point(sys, seed, idx)
         value = R.evaluate(pt)
@@ -156,7 +153,7 @@ def _span_monomials(fields) -> list[Monomial]:
     for f in fields:
         for p in (*f.xi, f.phi):
             monos.update(p.terms)
-    return sorted(monos, key=mono_pairs)
+    return sorted(monos)  # any fixed row order: the echelon form is unique
 
 
 def _field_vector(v: VectorField, monos: list[Monomial]) -> list[Fraction]:
@@ -400,10 +397,11 @@ def extract_determining(sys: PdeSystem) -> tuple[Poly, ...]:
 
 
 def satisfies_determining(eqs: tuple[Poly, ...], v: VectorField) -> bool:
-    """True when the concrete field, substituted into every determining
-    equation, leaves the zero polynomial in (x, u)."""
-    return all(eq.substitute_atoms(func_partial_values(v, eq.atoms())).is_zero
-               for eq in eqs)
+    """True when the concrete field, put into every determining equation
+    (each of degree 1 in the func atoms) by one derivation, leaves the zero
+    polynomial in (x, u)."""
+    values = func_partial_values(v)
+    return all(eq.derivation(values).is_zero for eq in eqs)
 
 
 # -- Taylor-coefficient rows ---------------------------------------------------------

@@ -17,8 +17,8 @@ from liejet.algebra import (
     THETA,
     _solve_columns,
     coord,
-    denominator_lcm,
     divide_exact,
+    exact_quotient,
     func_partial,
     jet,
     lex_order,
@@ -132,12 +132,6 @@ class TestExactCoefficients:
     def test_float_refused(self, make):
         with pytest.raises(TypeError):
             make()
-
-    def test_denominator_lcm(self):
-        assert denominator_lcm() == 1
-        assert denominator_lcm(MA2, Poly.zero()) == 1
-        assert denominator_lcm(Fraction(1, 4) * x1 + Fraction(5, 6),
-                               Fraction(2, 9) * u) == 36
 
     def test_integral_fraction_stored_as_int(self):
         p = Poly.const(Fraction(6, 3)) + Fraction(1, 2) * x1 * 2
@@ -332,6 +326,20 @@ def naive_substitute(p: dict, mapping: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def naive_derivation(p: dict, images: dict) -> dict:
+    """The Leibniz rule term by term: d(c * prod a^e) = sum over a of
+    c * e * a^(e-1) * (the rest) * images[a]."""
+    out: dict = {}
+    for pairs, c in p.items():
+        for a, e in pairs:
+            if a not in images:
+                continue
+            rest = tuple((b, f - (b == a)) for b, f in pairs if (b, f) != (a, 1))
+            for m, v in naive_mul({rest: c * e}, images[a]).items():
+                out[m] = out.get(m, 0) + v
+    return {m: c for m, c in out.items() if c}
+
+
 def canonical(p: Poly) -> bool:
     """No zero coefficient, every integral one an int, every other one a
     Fraction."""
@@ -369,6 +377,18 @@ class TestIntegerInterior:
     def test_substitute_matches_fraction_reference(self, p, mapping):
         got = p.substitute_atoms(mapping)
         want = naive_substitute(naive(p), {a: naive(q) for a, q in mapping.items()})
+        assert naive(got) == want
+        assert canonical(got)
+
+    @given(value_polys, mappings)
+    @example(Fraction(1, 2) * x1 * u ** 2 + 3 * u,
+             {DEP: Fraction(2, 3) * x1 + Fraction(1, 3), coord(1): Poly.zero()})
+    @example(Fraction(2, 3) * x1 - Fraction(1, 3) * u,
+             {coord(1): Poly.const(Fraction(1, 2)), DEP: Poly.const(1)})
+    @settings(max_examples=150)
+    def test_derivation_matches_fraction_reference(self, p, images):
+        got = p.derivation(lambda a: images.get(a, Poly.zero()))
+        want = naive_derivation(naive(p), {a: naive(q) for a, q in images.items()})
         assert naive(got) == want
         assert canonical(got)
 
@@ -703,6 +723,64 @@ class TestDivideExact:
         mu = divide_exact(p, q)
         if mu is not None:
             assert mu * q == p
+
+
+def reference_divide(p: Poly, q: Poly) -> Poly | None:
+    """Long division of the rational terms with leading terms in
+    `lex_order`, as `divide_exact` ran before it moved to the integer
+    forms and the packed order: the quotient when q divides p, else None."""
+    qc = q.as_constant()
+    if qc is not None:
+        return p * exact_quotient(1, qc)
+    key = lex_order(p.atoms() | q.atoms())
+    lt_q = max(q.terms, key=key)
+    c_q = q.terms[lt_q]
+    rem = dict(p.terms)
+    quot = {}
+    guard = algebra._GUARD
+    while rem:
+        lt = max(rem, key=key)
+        if ((lt | guard) - lt_q) & guard != guard:
+            return None
+        qm = lt - lt_q
+        quot[qm] = qcoef = exact_quotient(rem[lt], c_q)
+        for m2, c2 in q.terms.items():
+            mm = qm + m2
+            if mm & guard:
+                raise ExponentOverflowError(f"an exponent exceeds {EXP_MAX}")
+            v = rem.get(mm, 0) - qcoef * c2
+            if v:
+                rem[mm] = v
+            else:
+                rem.pop(mm, None)
+    return Poly(quot)
+
+
+class TestDivideExactOracle:
+    """`divide_exact` against the lex-order long division of the rational
+    terms: the same quotient, or None from both."""
+
+    @given(polys, polys)
+    @example(Fraction(2, 3) * x1 * u - Fraction(1, 4), Fraction(3, 5) * x1 + 7)
+    @settings(max_examples=150)
+    def test_multiple(self, mu, q):
+        assume(q)
+        got, want = divide_exact(mu * q, q), reference_divide(mu * q, q)
+        assert got.terms == want.terms == mu.terms
+        assert canonical(got)
+
+    @given(polys, polys, polys)
+    @example(x1, Fraction(1, 2) * x1 + u, Fraction(1, 3) * u)
+    @settings(max_examples=150)
+    def test_multiple_plus_remainder(self, mu, q, r):
+        assume(q)
+        p = mu * q + r
+        got, want = divide_exact(p, q), reference_divide(p, q)
+        if want is None:
+            assert got is None
+        else:
+            assert got.terms == want.terms
+            assert canonical(got)
 
 
 def test_poly_str_deterministic():

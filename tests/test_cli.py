@@ -364,6 +364,21 @@ class TestOrbit:
         assert json.loads(out)["error"]["type"] == "NotInvertibleHereError"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("q, a", [("1e400", "1"), ("1", "1e400")],
+                             ids=["element", "solution"])
+    def test_float_overflow_is_an_error_report(self, capsys, tmp_path, q, a):
+        # 1e400 is an exact rational, but the am1d orbit moves its center
+        # and reads its parameters in floats, which overflow
+        element = tmp_path / "g.json"
+        element.write_text(json.dumps({"Q": [[q]]}))
+        code = main(["--n", "1", "--theta", "1/2", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(element),
+                     "--solution", f"am1d:theta=1/2,a={a},b=1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "OverflowError"
+        assert "Traceback" not in err
+
 
 def test_closed_pipe_is_not_a_traceback(tmp_path):
     (tmp_path / "v.vf").write_text("xi1 = 1")

@@ -118,17 +118,18 @@ class TestInfinitesimalCheck:
             assert rep.multiplier * am2_special.F == R
 
     def test_multiplier_of_the_integer_forms(self):
-        # theta = 4/5 gives F rational coefficients; the multiplier read from
-        # the integer forms is the rational quotient, terms in the same order
+        # theta = 4/5 gives F rational coefficients; divide_exact divides
+        # the integer forms and scales back, so the multiplier is the
+        # rational quotient of R by F itself
         sys = build_affine_maximal(2, Fraction(4, 5))
         found = 0
         for v in affine_maximal_basis(2).fields:
             rep = infinitesimal_check(sys, v, trials=1)
             if rep.verdict == "multiplier-found":
                 found += 1
-                mu = divide_exact(apply_prolonged(v, sys.F, 4), sys.F)
-                assert list(rep.multiplier.terms.items()) == \
-                    list(mu.terms.items())
+                R = apply_prolonged(v, sys.F, 4)
+                assert rep.multiplier.terms == divide_exact(R, sys.F).terms
+                assert rep.multiplier * sys.F == R
         assert found
 
     def test_trials_validation(self, ma2):
