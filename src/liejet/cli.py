@@ -170,10 +170,13 @@ def cmd_prolong(args, config: SessionConfig, em: _Emitter) -> int:
     from .jets import prolong_explicit, prolong_recursive
     with open(args.field, encoding="utf-8") as fh:
         v = parse_vector_field(fh.read(), config.n)
+    # the closed formula goes first, so an order it lacks is refused before
+    # the recursion runs; an order below 1 is left to the recursion's report
+    explicit = (prolong_explicit(v, args.order)
+                if args.explicit and args.order >= 1 else None)
     coeffs = prolong_recursive(v, args.order)
     results = []
     mismatch = False
-    explicit = prolong_explicit(v, args.order) if args.explicit else None
     for J in sorted(coeffs):
         if not J:
             continue

@@ -6,19 +6,17 @@ Every first-order operator here (D_i, a field on (x, u), pr v on F) is one
 `Poly.derivation` given the image of each atom (Olver, GTM 107, 2.3).
 
 The recursive route iterates total derivatives of (phi - xi^s u_s) and adds
-the xi^s u_{J,s} correction.  The explicit route assembles the order-1..4
-coefficients from closed formulas organised by the highest derivative order
-they contain, using "circle summations" over the distinct permutations of
-the free indices.  The two routes are mutual oracles: they must agree
+the xi^s u_{J,s} correction.  The explicit route writes each coefficient of
+the undetermined field in closed form, by Leibniz and the multivariate Faa
+di Bruno formula summed over the positions of J, and puts a concrete field
+in by one derivation.  The two routes are mutual oracles: they must agree
 exactly for every field, which the test suite checks on random inputs.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
-from fractions import Fraction
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 from .algebra import (
@@ -29,10 +27,8 @@ from .algebra import (
     KIND_FUNC,
     KIND_JET,
     KIND_THETA,
-    Monomial,
     Poly,
     atom_str,
-    _fields,
     coord,
     func_partial,
     jet,
@@ -44,7 +40,8 @@ MAX_PROLONGATION_ORDER = 4
 
 
 class UnsupportedOrderError(ValueError):
-    """Closed-formula prolongation is only available for orders 1..4."""
+    """The closed formula is offered for orders 1..4 only: its terms grow
+    with the Bell numbers, and the recursion is the route beyond."""
 
 
 class OrderTooLowError(ValueError):
@@ -157,215 +154,54 @@ def prolong_recursive(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
     return coeffs
 
 
-# -- circle summation and the explicit closed formulas --------------------------
+# -- the closed formula ------------------------------------------------------------
 
-# Sentinel index values used to decide which permutations of a pattern are
-# genuinely distinct: large enough never to collide with a real coordinate
-# index or a summation index.
-_GENERIC = (1000001, 1000002, 1000003, 1000004)
-
-
-def _generic_terms(pattern: Callable[[tuple[int, ...]], Poly], m: int
-                   ) -> dict[Monomial, int | Fraction]:
-    """The distinct terms of `pattern` at the permuted generic indices.
-
-    A circle summation sums a term pattern over the distinct permutations of
-    its m free indices.  `pattern` is instantiated at generic (pairwise
-    distinct) index values for every permutation; terms that coincide there
-    - equal as index expressions by the symmetry of mixed partials - are
-    kept once.  `_relabel` then re-instantiates them at the actual indices,
-    so repeated indices contribute with their full multiplicity.
-    """
-    gen = _GENERIC[:m]
-    seen: dict[Monomial, int | Fraction] = {}
-    for perm in itertools.permutations(range(m)):
-        p = pattern(tuple(gen[t] for t in perm))
-        for mono, c in p.terms.items():
-            prev = seen.get(mono)
-            if prev is None:
-                seen[mono] = c
-            elif prev != c:
-                raise ValueError("pattern is ambiguous under permutation")
-    return seen
+def _splits(A: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of the positions of A into a subset and the rest, each
+    given by the indices at its positions."""
+    for mask in range(1 << len(A)):
+        yield (tuple(a for p, a in enumerate(A) if mask >> p & 1),
+               tuple(a for p, a in enumerate(A) if not mask >> p & 1))
 
 
-def _relabel(terms: dict[Monomial, int | Fraction], indices: Sequence[int]) -> Poly:
-    """Generic terms re-instantiated at the actual index values."""
-    relabel = dict(zip(_GENERIC, indices))
-    return Poly.from_terms(
-        (((_relabel_atom(a, relabel), e) for a, e in _fields(mono)), c)
-        for mono, c in terms.items())
+def _partitions(A: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+    """Every set partition of the positions of A, each block given by the
+    indices at its positions."""
+    if not A:
+        yield []
+        return
+    first = A[0]
+    for blocks in _partitions(A[1:]):
+        yield [(first,), *blocks]
+        for b in range(len(blocks)):
+            yield [*blocks[:b], (first, *blocks[b]), *blocks[b + 1:]]
 
 
-def _relabel_atom(a: Atom, relabel: dict[int, int]) -> Atom:
-    kind = a[0]
-    if kind == KIND_COORD:
-        return coord(relabel.get(a[1], a[1]))
-    if kind == KIND_JET:
-        return jet(*(relabel.get(i, i) for i in a[1]))
-    if kind == KIND_FUNC:
-        _, comp, xs, du = a
-        return func_partial(comp, tuple(relabel.get(i, i) for i in xs), du)
-    return a
-
-
-def _phi(xs: Iterable[int] = (), du: int = 0) -> Poly:
-    return Poly.variable(func_partial(0, xs, du))
-
-
-def _xi(s: int, xs: Iterable[int] = (), du: int = 0) -> Poly:
-    return Poly.variable(func_partial(s, xs, du))
-
-
-def _sum_s(n: int, term: Callable[[int], Poly]) -> Poly:
-    acc = Poly.zero()
-    for s in range(1, n + 1):
-        acc = acc + term(s)
-    return acc
-
-
-def _explicit_order1(n: int, i: int) -> Poly:
-    return (_phi((i,)) + _phi((), 1) * _uj(i)
-            - _sum_s(n, lambda s: (_xi(s, (i,)) + _xi(s, (), 1) * _uj(i)) * _uj(s)))
-
-
-def _explicit_order2(n: int, i: int, j: int) -> Poly:
-    out = (_phi((i, j)) + _phi((j,), 1) * _uj(i) + _phi((i,), 1) * _uj(j)
-           + _phi((), 2) * _uj(i) * _uj(j) + _phi((), 1) * _uj(i, j))
-    out = out - _sum_s(n, lambda s: (
-        _xi(s, (i, j)) + _xi(s, (j,), 1) * _uj(i) + _xi(s, (i,), 1) * _uj(j)
-        + _xi(s, (), 2) * _uj(i) * _uj(j) + _xi(s, (), 1) * _uj(i, j)) * _uj(s))
-    out = out - _sum_s(n, lambda s: (_xi(s, (i,)) + _xi(s, (), 1) * _uj(i)) * _uj(j, s))
-    out = out - _sum_s(n, lambda s: (_xi(s, (j,)) + _xi(s, (), 1) * _uj(j)) * _uj(i, s))
-    return out
-
-
-def _order3_patterns(n: int) -> list[Callable[[tuple[int, ...]], Poly]]:
-    # Grouped by the highest derivative order of u each part contains.
-    def a1_1(ix):
-        i, j, k = ix
-        return ((_phi((j, k), 1) + _phi((k,), 2) * _uj(j)) * _uj(i)
-                - _sum_s(n, lambda s: (_xi(s, (j, k), 1) + _xi(s, (k,), 2) * _uj(j))
-                         * _uj(s) * _uj(i)))
-
-    def a1_2(ix):
-        i, j, k = ix
-        return ((_phi((), 3) - _sum_s(n, lambda s: _xi(s, (), 3) * _uj(s)))
-                * _uj(i) * _uj(j) * _uj(k)
-                - _sum_s(n, lambda s: _xi(s, (i, j, k)) * _uj(s)))
-
-    def a2_1(ix):
-        i, j, k = ix
-        return ((_phi((k,), 1) + _phi((), 2) * _uj(k)) * _uj(i, j)
-                - _sum_s(n, lambda s: (_xi(s, (k,), 1) + _xi(s, (), 2) * _uj(k))
-                         * _uj(s) * _uj(i, j)))
-
-    def a2_2(ix):
-        i, j, k = ix
-        return -_sum_s(n, lambda s: (
-            _xi(s, (j, k)) + _xi(s, (k,), 1) * _uj(j)
-            + _xi(s, (), 2) * _uj(j) * _uj(k) + _xi(s, (), 1) * _uj(j, k)) * _uj(i, s))
-
-    def a3_1(ix):
-        i, j, k = ix
-        return (_phi((), 1) - _sum_s(n, lambda s: _xi(s, (), 1) * _uj(s))) * _uj(i, j, k)
-
-    def a3_2(ix):
-        i, j, k = ix
-        return -_sum_s(n, lambda s: (_xi(s, (i,)) + _xi(s, (), 1) * _uj(i)) * _uj(j, k, s))
-
-    return [a1_1, a1_2, a2_1, a2_2, a3_1, a3_2]
-
-
-def _order4_patterns(n: int) -> list[Callable[[tuple[int, ...]], Poly]]:
-    def b1_1(ix):
-        i, j, k, l = ix
-        return (_phi((j, k, l), 1) + _phi((k, l), 2) * _uj(j)
-                + _phi((l,), 3) * _uj(j) * _uj(k)) * _uj(i)
-
-    def b1_2(ix):
-        i, j, k, l = ix
-        return -_sum_s(n, lambda s: (
-            _xi(s, (j, k, l), 1) + _xi(s, (k, l), 2) * _uj(j)
-            + _xi(s, (l,), 3) * _uj(j) * _uj(k)) * _uj(s) * _uj(i))
-
-    def b1_3(ix):
-        i, j, k, l = ix
-        return ((_phi((), 4) - _sum_s(n, lambda s: _xi(s, (), 4) * _uj(s)))
-                * _uj(i) * _uj(j) * _uj(k) * _uj(l)
-                - _sum_s(n, lambda s: _xi(s, (i, j, k, l)) * _uj(s)))
-
-    def b2_1(ix):
-        i, j, k, l = ix
-        return (_phi((k, l), 1) + _phi((l,), 2) * _uj(k)
-                + _phi((), 3) * _uj(k) * _uj(l) + _phi((), 2) * _uj(k, l)) * _uj(i, j)
-
-    def b2_2(ix):
-        i, j, k, l = ix
-        return -_sum_s(n, lambda s: (
-            _xi(s, (k, l), 1) + _xi(s, (l,), 2) * _uj(k)
-            + _xi(s, (), 3) * _uj(k) * _uj(l) + _xi(s, (), 2) * _uj(k, l))
-            * _uj(s) * _uj(i, j))
-
-    def b2_3(ix):
-        i, j, k, l = ix
-        return -_sum_s(n, lambda s: (
-            _xi(s, (j, k, l)) + _xi(s, (k, l), 1) * _uj(j)
-            + _xi(s, (l,), 2) * _uj(j) * _uj(k)
-            + _xi(s, (), 3) * _uj(j) * _uj(k) * _uj(l)) * _uj(i, s))
-
-    def b2_4(ix):
-        i, j, k, l = ix
-        return -_sum_s(n, lambda s: (_xi(s, (l,), 1) + _xi(s, (), 2) * _uj(l))
-                       * _uj(j, k) * _uj(i, s))
-
-    def b3_1(ix):
-        i, j, k, l = ix
-        return ((_phi((i,), 1) + _phi((), 2) * _uj(i)) * _uj(j, k, l)
-                - _sum_s(n, lambda s: (_xi(s, (i,), 1) + _xi(s, (), 2) * _uj(i))
-                         * _uj(s) * _uj(j, k, l)))
-
-    def b3_2(ix):
-        i, j, k, l = ix
-        return -_sum_s(n, lambda s: (
-            (_xi(s, (k, l)) + _xi(s, (l,), 1) * _uj(k)
-             + _xi(s, (), 2) * _uj(k) * _uj(l) + _xi(s, (), 1) * _uj(k, l))
-            * _uj(i, j, s)
-            + _xi(s, (), 1) * _uj(i, s) * _uj(j, k, l)))
-
-    def b4_1(ix):
-        i, j, k, l = ix
-        return ((_phi((), 1) - _sum_s(n, lambda s: _xi(s, (), 1) * _uj(s)))
-                * _uj(i, j, k, l))
-
-    def b4_2(ix):
-        i, j, k, l = ix
-        return -_sum_s(n, lambda s: (_xi(s, (i,)) + _xi(s, (), 1) * _uj(i))
-                       * _uj(j, k, l, s))
-
-    return [b1_1, b1_2, b1_3, b2_1, b2_2, b2_3, b2_4, b3_1, b3_2, b4_1, b4_2]
-
-
-@lru_cache(maxsize=None)
-def _generic_patterns(n: int, order: int) -> tuple[dict, ...]:
-    """Generic terms of each order-3/4 pattern, shared by every multi-index."""
-    patterns = _order3_patterns(n) if order == 3 else _order4_patterns(n)
-    return tuple(_generic_terms(pat, order) for pat in patterns)
+def _chain_rule(comp: int, A: tuple[int, ...]) -> Iterator[list[Atom]]:
+    """The terms of D_A f(x, u(x)), f the field component `comp`, each as
+    the list of its atoms (multivariate Faa di Bruno, Constantine & Savits
+    1996): f_{x_S u^|P|} * prod_{B in P} u_B over every subset S of the
+    positions of A and every set partition P of the rest.  A sum over
+    positions gives a repeated index its multiplicity."""
+    for xs, rest in _splits(A):
+        for blocks in _partitions(rest):
+            yield [func_partial(comp, xs, len(blocks)), *(jet(*B) for B in blocks)]
 
 
 @lru_cache(maxsize=None)
 def _explicit_symbolic_coeff(n: int, J: tuple[int, ...]) -> Poly:
-    order = len(J)
-    if order == 1:
-        return _explicit_order1(n, J[0])
-    if order == 2:
-        return _explicit_order2(n, J[0], J[1])
-    if order in (3, 4):
-        out = _phi(J)
-        for terms in _generic_patterns(n, order):
-            out = out + _relabel(terms, J)
-        return out
-    raise UnsupportedOrderError(f"no closed formula for order {order}")
+    """The coefficient of the undetermined field at J, degree 1 in the func
+    atoms: phi^J = D_J(phi - xi^i u_i) + xi^i u_{J,i} (Olver, GTM 107,
+    Thm 2.36), by Leibniz over the positions of J
+    phi^J = D_J phi - sum_i sum_{K} D_K xi^i * u_{(J-K)+i}
+    with K running over the nonempty subsets, the empty one cancelling the
+    last sum.  Neither `total_derivative` nor the recursion is called."""
+    terms = [(t, 1) for t in _chain_rule(0, J)]
+    for K, rest in _splits(J):
+        if K:
+            for i in range(1, n + 1):
+                terms.extend(([*t, jet(*rest, i)], -1) for t in _chain_rule(i, K))
+    return Poly.from_terms((((a, 1) for a in t), c) for t, c in terms)
 
 
 def func_partial_values(v: VectorField) -> Callable[[Atom], Poly]:
@@ -385,12 +221,14 @@ def func_partial_values(v: VectorField) -> Callable[[Atom], Poly]:
 
 
 def prolong_explicit(v: Field, k: int) -> dict[tuple[int, ...], Poly]:
-    """Prolongation assembled from the order-by-order closed formulas.
+    """Prolongation from the closed formula, orders 1..k for k <= 4.
 
-    Independent of `prolong_recursive`: coefficients are built symbolically
-    from the explicit expansion.  Each has degree 1 in the formal
-    derivative symbols, so a concrete field replaces them by the actual
-    partial derivatives of its components with one derivation.
+    Independent of `prolong_recursive`: each coefficient is the closed form
+    for the undetermined field (`_explicit_symbolic_coeff`, built once per
+    multi-index).  It has degree 1 in the formal derivative symbols, so a
+    concrete field replaces them by the actual partial derivatives of its
+    components with one derivation.  An order outside 1..4 is refused
+    before any work.
     """
     if not 1 <= k <= MAX_PROLONGATION_ORDER:
         raise UnsupportedOrderError(

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from math import factorial, prod
-from operator import add, itemgetter, or_
+from operator import add, or_
 
 from .algebra import (
     DEP,
@@ -321,22 +321,31 @@ def _linear_system(shards: Iterable[dict], key: Callable) -> tuple[Poly, ...]:
     group by key and keeping the first copy.  A class is the atom of a
     single term, else the integer primitive form with a positive leading
     coefficient.  Each shard is released before the next is built."""
-    classes: dict = {}  # atom or primitive form -> (key, terms)
+    classes: dict = {}  # atom or primitive form -> (key, terms or None)
     for jm, g in itertools.chain.from_iterable(map(dict.items, shards)):
-        terms = {a: c for a, c in (g.items() if type(g) is dict else (g,)) if c}
-        if len(terms) > 1:
-            form = integer_primitive(terms)
-            sign = 1 if form[max(form)] > 0 else -1
-            cls = frozenset((a, sign * v) for a, v in form.items())
-        elif terms:
-            [cls] = terms
+        if type(g) is tuple:  # (atom, c): the class of a nonzero c is its atom
+            if not g[1]:
+                continue
+            cls, terms = g[0], None
         else:
-            continue
+            terms = {a: c for a, c in g.items() if c}
+            if len(terms) > 1:
+                form = integer_primitive(terms)
+                sign = 1 if form[max(form)] > 0 else -1
+                cls = frozenset((a, sign * v) for a, v in form.items())
+            elif terms:
+                [cls] = terms
+                terms = None
+            else:
+                continue
         k = key(jm)
         if cls not in classes or k < classes[cls][0]:
             classes[cls] = (k, terms)
     equations = []
-    for _, terms in sorted(classes.values(), key=itemgetter(0)):
+    for cls, (_, terms) in sorted(classes.items(), key=lambda item: item[1][0]):
+        if terms is None:
+            equations.append(Poly.variable(cls))
+            continue
         lead = terms[max(terms)]
         equations.append(Poly({1 << _shift(a): exact_quotient(c, lead)
                                for a, c in terms.items()}))

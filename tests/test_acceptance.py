@@ -67,7 +67,7 @@ def graph_shear(n: int, i: int = 1) -> VectorField:
 
 def test_criterion_1_prolongation_oracle_equivalence():
     """Closed formulas == recursive rule, exactly, for N in 1..3, orders
-    1..4, 50 random degree-<=3 fields per configuration (about 2 s on a
+    1..4, 50 random degree-<=3 fields per configuration (1.4-1.8 s on a
     2-core x86-64 host)."""
     rng = random.Random(1234)
     ok = True

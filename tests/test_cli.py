@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from liejet import cli, groups
+from liejet import cli, groups, jets
 from liejet.algebra import MissingAtomError
 from liejet.cli import main
 
@@ -511,6 +511,24 @@ class TestProlong:
         assert code == 0
         assert [(r["index"], r["explicit_matches"]) for r in rep["results"]] \
             == [("1", True), ("2", True)]
+
+    def test_explicit_order_refused_before_any_work(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # order 30 keeps the recursion busy past 10 s if it runs first
+        def recursion_ran(*args):
+            raise RuntimeError("the recursion ran")
+
+        monkeypatch.setattr(jets, "prolong_recursive", recursion_ran)
+        field = tmp_path / "v.vf"
+        field.write_text("xi1 = x1*u + x2^2; xi2 = u^2 - x3; xi3 = x1*x2; "
+                         "phi = x1*x2*u + u^2")
+        code, rep = run_json(capsys, ["--n", "3", "--output", "json",
+                                      "prolong", "--field", str(field),
+                                      "--order", "30", "--explicit"])
+        assert code == 1
+        assert rep["error"] == {
+            "type": "UnsupportedOrderError",
+            "message": "closed formulas cover orders 1..4, got 30"}
 
 
 class TestConfigValidation:

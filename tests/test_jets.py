@@ -1,6 +1,12 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +15,12 @@ from hypothesis import strategies as st
 from liejet import jets
 from liejet.algebra import (
     DEP,
+    KIND_COORD,
     KIND_FUNC,
+    KIND_JET,
     Poly,
     THETA,
+    _fields,
     coord,
     func_partial,
     jet,
@@ -26,8 +35,6 @@ from liejet.jets import (
     SymbolicVectorField,
     UnsupportedOrderError,
     VectorField,
-    _generic_terms,
-    _relabel,
     apply_prolonged,
     multi_indices,
     prolong_explicit,
@@ -35,6 +42,29 @@ from liejet.jets import (
     total_derivative,
 )
 from conftest import random_point_poly, random_vector_field
+from test_golden import PROLONG_FIELD_N3
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ATOM_PROBE = """
+import sys
+from liejet import algebra
+from liejet.dsl import parse_vector_field
+from liejet.jets import prolong_explicit
+
+def indices(a):
+    kind = a[0]
+    if kind == algebra.KIND_COORD:
+        return (a[1],)
+    if kind == algebra.KIND_JET:
+        return a[1]
+    if kind == algebra.KIND_FUNC:
+        return (a[1], *a[2])
+    return ()
+
+prolong_explicit(parse_vector_field(sys.argv[1], 3), 4)
+print(len(algebra._ATOM_AT),
+      [algebra.atom_str(a) for a in algebra._ATOM_AT if max(indices(a), default=0) > 3])
+"""
 
 x1 = Poly.variable(coord(1))
 x2 = Poly.variable(coord(2))
@@ -128,7 +158,6 @@ class TestProlongRecursive:
 
     def test_coefficient_independent_of_derivative_order(self, rng):
         # phi^J from D_J applied in any order of the index tuple
-        import itertools
         v = random_vector_field(rng, 2)
         q = v.phi
         for s in range(1, 3):
@@ -206,6 +235,235 @@ class TestProlongExplicit:
                 substituted = c.substitute_atoms(
                     {a: values(a) for a in c.atoms() if a[0] == KIND_FUNC})
                 assert c.derivation(values).terms == substituted.terms
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_formula_equals_the_patterns(self, n):
+        for order in range(1, 5):
+            for J in multi_indices(n, order):
+                assert jets._explicit_symbolic_coeff(n, J) == pattern_coeff(n, J), J
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_formula_at_order_five(self, n):
+        # past the order `prolong_explicit` offers, against the recursion
+        rec = prolong_recursive(SymbolicVectorField(n), 5)
+        for J in multi_indices(n, 5):
+            assert jets._explicit_symbolic_coeff(n, J) == rec[J], J
+
+    def test_interns_no_foreign_atom(self):
+        # a fresh process, so the field table holds only what the
+        # prolongation interned: no atom may carry an index above N
+        proc = subprocess.run(
+            [sys.executable, "-c", _ATOM_PROBE, PROLONG_FIELD_N3],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        interned, foreign = proc.stdout.split(maxsplit=1)
+        assert int(interned) > 0
+        assert foreign.strip() == "[]"
+
+
+# -- the hand-written closed formulas: a third oracle at orders 1..4 -----------
+#
+# Orders 1 and 2 written out, orders 3 and 4 as 17 term patterns, each
+# circle-summed over the permutations of its free indices at sentinel
+# indices and relabelled.  They sit here, not in liejet, because the sentinel
+# atoms they intern stay in the process's field table.
+
+# Sentinel index values used to decide which permutations of a pattern are
+# genuinely distinct: large enough never to collide with a real coordinate
+# index or a summation index.
+_GENERIC = (1000001, 1000002, 1000003, 1000004)
+
+
+def _generic_terms(pattern, m):
+    """The distinct terms of `pattern` at the permuted generic indices.
+
+    A circle summation sums a term pattern over the distinct permutations of
+    its m free indices.  `pattern` is instantiated at generic (pairwise
+    distinct) index values for every permutation; terms that coincide there
+    - equal as index expressions by the symmetry of mixed partials - are
+    kept once.  `_relabel` then re-instantiates them at the actual indices,
+    so repeated indices contribute with their full multiplicity.
+    """
+    gen = _GENERIC[:m]
+    seen = {}
+    for perm in itertools.permutations(range(m)):
+        p = pattern(tuple(gen[t] for t in perm))
+        for mono, c in p.terms.items():
+            prev = seen.get(mono)
+            if prev is None:
+                seen[mono] = c
+            elif prev != c:
+                raise ValueError("pattern is ambiguous under permutation")
+    return seen
+
+
+def _relabel(terms, indices):
+    """Generic terms re-instantiated at the actual index values."""
+    relabel = dict(zip(_GENERIC, indices))
+    return Poly.from_terms(
+        (((_relabel_atom(a, relabel), e) for a, e in _fields(mono)), c)
+        for mono, c in terms.items())
+
+
+def _relabel_atom(a, relabel):
+    kind = a[0]
+    if kind == KIND_COORD:
+        return coord(relabel.get(a[1], a[1]))
+    if kind == KIND_JET:
+        return jet(*(relabel.get(i, i) for i in a[1]))
+    if kind == KIND_FUNC:
+        _, comp, xs, du = a
+        return func_partial(comp, tuple(relabel.get(i, i) for i in xs), du)
+    return a
+
+
+def _sum_s(n, term):
+    acc = Poly.zero()
+    for s in range(1, n + 1):
+        acc = acc + term(s)
+    return acc
+
+
+def _explicit_order1(n, i):
+    return (phi_((i,)) + phi_((), 1) * uj(i)
+            - _sum_s(n, lambda s: (xi_(s, (i,)) + xi_(s, (), 1) * uj(i)) * uj(s)))
+
+
+def _explicit_order2(n, i, j):
+    out = (phi_((i, j)) + phi_((j,), 1) * uj(i) + phi_((i,), 1) * uj(j)
+           + phi_((), 2) * uj(i) * uj(j) + phi_((), 1) * uj(i, j))
+    out = out - _sum_s(n, lambda s: (
+        xi_(s, (i, j)) + xi_(s, (j,), 1) * uj(i) + xi_(s, (i,), 1) * uj(j)
+        + xi_(s, (), 2) * uj(i) * uj(j) + xi_(s, (), 1) * uj(i, j)) * uj(s))
+    out = out - _sum_s(n, lambda s: (xi_(s, (i,)) + xi_(s, (), 1) * uj(i)) * uj(j, s))
+    out = out - _sum_s(n, lambda s: (xi_(s, (j,)) + xi_(s, (), 1) * uj(j)) * uj(i, s))
+    return out
+
+
+def _order3_patterns(n):
+    # Grouped by the highest derivative order of u each part contains.
+    def a1_1(ix):
+        i, j, k = ix
+        return ((phi_((j, k), 1) + phi_((k,), 2) * uj(j)) * uj(i)
+                - _sum_s(n, lambda s: (xi_(s, (j, k), 1) + xi_(s, (k,), 2) * uj(j))
+                         * uj(s) * uj(i)))
+
+    def a1_2(ix):
+        i, j, k = ix
+        return ((phi_((), 3) - _sum_s(n, lambda s: xi_(s, (), 3) * uj(s)))
+                * uj(i) * uj(j) * uj(k)
+                - _sum_s(n, lambda s: xi_(s, (i, j, k)) * uj(s)))
+
+    def a2_1(ix):
+        i, j, k = ix
+        return ((phi_((k,), 1) + phi_((), 2) * uj(k)) * uj(i, j)
+                - _sum_s(n, lambda s: (xi_(s, (k,), 1) + xi_(s, (), 2) * uj(k))
+                         * uj(s) * uj(i, j)))
+
+    def a2_2(ix):
+        i, j, k = ix
+        return -_sum_s(n, lambda s: (
+            xi_(s, (j, k)) + xi_(s, (k,), 1) * uj(j)
+            + xi_(s, (), 2) * uj(j) * uj(k) + xi_(s, (), 1) * uj(j, k)) * uj(i, s))
+
+    def a3_1(ix):
+        i, j, k = ix
+        return (phi_((), 1) - _sum_s(n, lambda s: xi_(s, (), 1) * uj(s))) * uj(i, j, k)
+
+    def a3_2(ix):
+        i, j, k = ix
+        return -_sum_s(n, lambda s: (xi_(s, (i,)) + xi_(s, (), 1) * uj(i)) * uj(j, k, s))
+
+    return [a1_1, a1_2, a2_1, a2_2, a3_1, a3_2]
+
+
+def _order4_patterns(n):
+    def b1_1(ix):
+        i, j, k, l = ix
+        return (phi_((j, k, l), 1) + phi_((k, l), 2) * uj(j)
+                + phi_((l,), 3) * uj(j) * uj(k)) * uj(i)
+
+    def b1_2(ix):
+        i, j, k, l = ix
+        return -_sum_s(n, lambda s: (
+            xi_(s, (j, k, l), 1) + xi_(s, (k, l), 2) * uj(j)
+            + xi_(s, (l,), 3) * uj(j) * uj(k)) * uj(s) * uj(i))
+
+    def b1_3(ix):
+        i, j, k, l = ix
+        return ((phi_((), 4) - _sum_s(n, lambda s: xi_(s, (), 4) * uj(s)))
+                * uj(i) * uj(j) * uj(k) * uj(l)
+                - _sum_s(n, lambda s: xi_(s, (i, j, k, l)) * uj(s)))
+
+    def b2_1(ix):
+        i, j, k, l = ix
+        return (phi_((k, l), 1) + phi_((l,), 2) * uj(k)
+                + phi_((), 3) * uj(k) * uj(l) + phi_((), 2) * uj(k, l)) * uj(i, j)
+
+    def b2_2(ix):
+        i, j, k, l = ix
+        return -_sum_s(n, lambda s: (
+            xi_(s, (k, l), 1) + xi_(s, (l,), 2) * uj(k)
+            + xi_(s, (), 3) * uj(k) * uj(l) + xi_(s, (), 2) * uj(k, l))
+            * uj(s) * uj(i, j))
+
+    def b2_3(ix):
+        i, j, k, l = ix
+        return -_sum_s(n, lambda s: (
+            xi_(s, (j, k, l)) + xi_(s, (k, l), 1) * uj(j)
+            + xi_(s, (l,), 2) * uj(j) * uj(k)
+            + xi_(s, (), 3) * uj(j) * uj(k) * uj(l)) * uj(i, s))
+
+    def b2_4(ix):
+        i, j, k, l = ix
+        return -_sum_s(n, lambda s: (xi_(s, (l,), 1) + xi_(s, (), 2) * uj(l))
+                       * uj(j, k) * uj(i, s))
+
+    def b3_1(ix):
+        i, j, k, l = ix
+        return ((phi_((i,), 1) + phi_((), 2) * uj(i)) * uj(j, k, l)
+                - _sum_s(n, lambda s: (xi_(s, (i,), 1) + xi_(s, (), 2) * uj(i))
+                         * uj(s) * uj(j, k, l)))
+
+    def b3_2(ix):
+        i, j, k, l = ix
+        return -_sum_s(n, lambda s: (
+            (xi_(s, (k, l)) + xi_(s, (l,), 1) * uj(k)
+             + xi_(s, (), 2) * uj(k) * uj(l) + xi_(s, (), 1) * uj(k, l))
+            * uj(i, j, s)
+            + xi_(s, (), 1) * uj(i, s) * uj(j, k, l)))
+
+    def b4_1(ix):
+        i, j, k, l = ix
+        return ((phi_((), 1) - _sum_s(n, lambda s: xi_(s, (), 1) * uj(s)))
+                * uj(i, j, k, l))
+
+    def b4_2(ix):
+        i, j, k, l = ix
+        return -_sum_s(n, lambda s: (xi_(s, (i,)) + xi_(s, (), 1) * uj(i))
+                       * uj(j, k, l, s))
+
+    return [b1_1, b1_2, b1_3, b2_1, b2_2, b2_3, b2_4, b3_1, b3_2, b4_1, b4_2]
+
+
+@lru_cache(maxsize=None)
+def _generic_patterns(n, order):
+    """Generic terms of each order-3/4 pattern, shared by every multi-index."""
+    patterns = _order3_patterns(n) if order == 3 else _order4_patterns(n)
+    return tuple(_generic_terms(pat, order) for pat in patterns)
+
+
+def pattern_coeff(n, J):
+    """The coefficient of the undetermined field at J, orders 1..4."""
+    if len(J) == 1:
+        return _explicit_order1(n, J[0])
+    if len(J) == 2:
+        return _explicit_order2(n, J[0], J[1])
+    out = phi_(J)
+    for terms in _generic_patterns(n, len(J)):
+        out = out + _relabel(terms, J)
+    return out
 
 
 class TestCircleSum:
