@@ -72,6 +72,7 @@ THETA: Atom = (KIND_THETA,)
 
 EXP_BITS = 8  # one byte per field, which `tuple_order` relies on
 EXP_MAX = (1 << (EXP_BITS - 1)) - 1
+CONST_BITS_MAX = 4096  # bits of a numerator or denominator read from input
 
 
 class MissingAtomError(ValueError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 # Only what argument parsing and every subcommand share is imported here;
 # each subcommand imports the rest of the engine itself, so a process loads
 # (and, without a bytecode cache, compiles) only the modules it runs.
-from .algebra import KIND_JET, Poly, THETA, atom_str, coord, poly_str
+from .algebra import CONST_BITS_MAX, KIND_JET, Poly, THETA, atom_str, coord, poly_str
 from .equations import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -66,9 +66,7 @@ def _parse_theta(text: str) -> Fraction | None:
     # exact rationals only: integer or p/q with integer parts, no decimals
     num, _, den = text.partition("/")
     try:
-        if den:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"theta must be an exact rational p/q or 'sym', got {text!r}"
@@ -87,24 +85,15 @@ def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem
         F = parse_expression(expr, config.n)
         if config.theta is not None:
             F = F.substitute_atoms({THETA: Poly.const(config.theta)})
-        top = _choose_top_var(F)
-        order = F.max_jet_order()
-        if order == 0:
-            raise ValueError("a custom equation must involve jet variables")
-        return PdeSystem(n=config.n, order=order, F=F, top_var=top,
-                         theta=config.theta)
+        # the top variable: a highest-order jet in which F is affine-linear
+        tops = [a for a in F.atoms()
+                if a[0] == KIND_JET and F.diff(a).diff(a).is_zero]
+        if not tops:
+            raise ValueError("no jet variable occurs affine-linearly; "
+                             "cannot sample this equation")
+        return PdeSystem(n=config.n, F=F,
+                         top_var=max(tops, key=lambda a: (len(a[1]), a)))
     raise ValueError(f"unknown equation {eq!r}")
-
-
-def _choose_top_var(F: Poly):
-    candidates = []
-    for a in F.atoms():
-        if a[0] == KIND_JET and F.diff(a).diff(a).is_zero:
-            candidates.append(a)
-    if not candidates:
-        raise ValueError("no jet variable occurs affine-linearly; "
-                         "cannot sample this equation")
-    return max(candidates, key=lambda a: (len(a[1]), a))
 
 
 def _jetpoint_dict(pt: dict) -> dict:
@@ -220,7 +209,7 @@ def cmd_classify(args, config: SessionConfig, em: _Emitter) -> int:
     from .symmetry import ansatz_dimension, expected_dimension
     sys_ = _build_system(config, args.eq, None)
     dim, basis = ansatz_dimension(sys_, config.ansatz_degree)
-    expected = expected_dimension(args.eq, config.n, sys_.theta)
+    expected = expected_dimension(args.eq, config.n, config.theta)
     matches = dim == expected
     result = {
         "dimension": dim,
@@ -291,7 +280,7 @@ def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
         if rest in ("identity", "", None):
             m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         elif rest.startswith("diag="):
-            diag = [Fraction(v) for v in rest[5:].split(",")]
+            diag = [_read_number(v) for v in rest[5:].split(",")]
             if len(diag) != n:
                 raise ValueError(f"need {n} diagonal entries")
             m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -299,11 +288,9 @@ def _parse_solution_spec(spec: str, n: int) -> SolutionSample:
             raise ValueError(f"unknown quadratic spec {rest!r}")
         return solution_family("quadratic", {"M": m})
     if name == "am1d":
-        params = {}
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            params[key.strip()] = Fraction(value)
-        return solution_family("am1d", params)
+        pairs = (part.partition("=") for part in rest.split(","))
+        return solution_family("am1d", {key.strip(): _read_number(value)
+                                        for key, _, value in pairs})
     raise ValueError(f"unknown solution family {name!r}")
 
 
@@ -313,7 +300,7 @@ _ELEMENT_KEYS = ("Q", "P", "D", "R", "c", "d", "regime")
 def _load_element(path: str, n: int) -> GroupElement:
     from .groups import make_am_element
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=str)  # an integer keeps its text
     if not isinstance(data, dict):
         raise ValueError("the element file must hold a JSON object")
     unknown = sorted(set(data) - set(_ELEMENT_KEYS))
@@ -324,8 +311,8 @@ def _load_element(path: str, n: int) -> GroupElement:
     if not (isinstance(q, list) and len(q) == n):
         raise ValueError(f"element Q must be a list of {n} rows")
     q = [_element_numbers(row, "Q row", n) for row in q]
-    p, dvec, r = (_element_numbers(data.get(k, [0] * n), k, n) for k in "PDR")
-    c, d = _element_numbers([data.get("c", 1), data.get("d", 0)], "c, d", 2)
+    p, dvec, r = (_element_numbers(data.get(k, ["0"] * n), k, n) for k in "PDR")
+    c, d = _element_numbers([data.get("c", "1"), data.get("d", "0")], "c, d", 2)
     regime = data.get("regime", "am-generic")
     if regime not in ("am-generic", "am-special"):
         raise ValueError("element regime must be 'am-generic' or 'am-special'")
@@ -333,14 +320,39 @@ def _load_element(path: str, n: int) -> GroupElement:
 
 
 def _element_numbers(value, name: str, n: int) -> list[Fraction]:
-    # a JSON float is a binary fraction (0.1 would be 3602879701896397/2^55)
-    # and a boolean is no number: only integers and strings are exact
+    # a JSON integer arrives as its text, a JSON float is a binary fraction
+    # (0.1 would be 3602879701896397/2^55) and a boolean is no number: only
+    # strings are exact
     if not (isinstance(value, list) and len(value) == n
-            and all(isinstance(v, (int, str)) and not isinstance(v, bool)
-                    for v in value)):
+            and all(isinstance(v, str) for v in value)):
         raise ValueError(f"element {name} must be {n} numbers, each an "
                          f"integer or a string such as \"1/10\"")
-    return [Fraction(v) for v in value]
+    return [_read_number(v) for v in value]
+
+
+class NumberTooLargeError(ValueError):
+    """A number past CONST_BITS_MAX characters, or bits in its numerator or
+    denominator."""
+
+
+def _read_number(text: str) -> Fraction:
+    """An integer or a decimal such as "1/10", "0.1" or "5e-3" as an exact
+    Fraction, refused past CONST_BITS_MAX characters or bits in numerator or
+    denominator.  An exponent e is weighed before `Fraction` builds 10**e: a
+    nonzero mantissa of k characters lies between 2^-4k and 2^4k, so for
+    3|e| > 4k + CONST_BITS_MAX + 1 one of the two is too long."""
+    if len(text) > CONST_BITS_MAX:  # before `int` refuses past 4300 digits
+        raise NumberTooLargeError(f"a number exceeds {CONST_BITS_MAX} characters")
+    mantissa, _, e = text.lower().partition("e")
+    try:
+        huge = 3 * abs(int(e)) > 4 * len(mantissa) + CONST_BITS_MAX + 1
+    except ValueError:  # no exponent, or a malformed one Fraction reports
+        huge = False
+    q = Fraction(mantissa + "e0" if huge else text)  # only 0 passes if huge
+    if (huge and q) or max(abs(q.numerator).bit_length(),
+                           q.denominator.bit_length()) > CONST_BITS_MAX:
+        raise NumberTooLargeError(f"a number exceeds {CONST_BITS_MAX} bits")
+    return q
 
 
 def cmd_orbit(args, config: SessionConfig, em: _Emitter) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import DEP, EXP_MAX, ExponentOverflowError, Poly, THETA, coord, jet, poly_str
+from .algebra import (CONST_BITS_MAX, DEP, EXP_MAX, ExponentOverflowError, Poly,
+                      THETA, coord, jet, poly_str)
 from .jets import VectorField
 
 
@@ -43,10 +44,6 @@ class DivisionNotSupportedError(ParseError):
 class ConstantTooLargeError(ParseError):
     """A constant power whose numerator or denominator would exceed
     CONST_BITS_MAX bits."""
-
-
-# the size bound on the value of a constant power, checked before expanding
-CONST_BITS_MAX = 4096
 
 
 Token = namedtuple("Token", "kind value line col")  # kind: "num" | "name" | "op"

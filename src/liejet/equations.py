@@ -40,16 +40,16 @@ class SamplingExhaustedError(RuntimeError):
     """The per-point resampling budget was exhausted."""
 
 
-class PdeSystem(namedtuple("PdeSystem", "n order F top_var theta")):
-    """A polynomial-in-jets equation F = 0.
+class PdeSystem(namedtuple("PdeSystem", "n F top_var")):
+    """A polynomial-in-jets equation F = 0 in N = `n` independent variables.
 
     `top_var` is a jet atom in which F is affine-linear; sampling solves for
-    it.  `theta` is the pinned rational parameter value, or None when the
-    equation either has no parameter or carries it symbolically.
+    it.  What F determines (its order, whether it holds theta) is read from
+    F, not stored beside it.
     """
 
-    def __new__(cls, n, order, F, top_var, theta=None):
-        self = super().__new__(cls, n, order, F, top_var, theta)
+    def __new__(cls, n, F, top_var):
+        self = super().__new__(cls, n, F, top_var)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if not (self.F.diff(self.top_var)).diff(self.top_var).is_zero:
@@ -57,6 +57,10 @@ class PdeSystem(namedtuple("PdeSystem", "n order F top_var theta")):
         if any(a[0] == KIND_FUNC for a in self.F.atoms()):
             raise ValueError("F must not contain unknown-function symbols")
         return self
+
+    @cached_property
+    def order(self) -> int:  # the highest jet order in F
+        return self.F.max_jet_order()
 
     @property
     def theta_symbolic(self) -> bool:
@@ -92,16 +96,7 @@ def hessian_matrix(n: int) -> list[list[Poly]]:
 def build_monge_ampere(n: int) -> PdeSystem:
     """det D^2 u = 1 as the polynomial det(jet Hessian) - 1."""
     F = sym_det(hessian_matrix(n)) - 1
-    return PdeSystem(n=n, order=2, F=F, top_var=jet(n, n))
-
-
-def _theta_poly(theta) -> tuple[Poly, Fraction | None]:
-    if theta is None or theta == "sym":
-        return Poly.variable(THETA), None
-    value = Fraction(theta)
-    if value <= 0:
-        raise ValueError("theta must be positive")
-    return Poly.const(value), value
+    return PdeSystem(n=n, F=F, top_var=jet(n, n))
 
 
 def build_affine_maximal(n: int, theta=None) -> PdeSystem:
@@ -112,13 +107,18 @@ def build_affine_maximal(n: int, theta=None) -> PdeSystem:
     U is the cofactor matrix of the jet Hessian.  theta may be a rational,
     or None/"sym" for a symbolic parameter atom.
     """
-    tpoly, tvalue = _theta_poly(theta)
+    if theta is None or theta == "sym":
+        tpoly = Poly.variable(THETA)
+    elif Fraction(theta) > 0:
+        tpoly = Poly.const(Fraction(theta))
+    else:
+        raise ValueError("theta must be positive")
     H = hessian_matrix(n)
     U = sym_adjugate(H)
     F = (tpoly * _contraction_v(U)
          - sym_det(H) * _fourth_order_contraction(U)
          + _contraction_z(U))
-    return PdeSystem(n=n, order=4, F=F, top_var=jet(1, 1, 1, 1), theta=tvalue)
+    return PdeSystem(n=n, F=F, top_var=jet(1, 1, 1, 1))
 
 
 def _orderings(idx: tuple[int, ...]) -> int:

@@ -79,10 +79,6 @@ def _mat(values) -> Mat:
     return tuple(_vec(row) for row in values)
 
 
-def _zeros(n: int) -> Vec:
-    return tuple(Fraction(0) for _ in range(n))
-
-
 def _mat_inverse(rows: Mat) -> Mat:
     n = len(rows)
     cols = _solve_columns(rows, [[Fraction(1 if i == j else 0) for i in range(n)]
@@ -132,7 +128,7 @@ def make_ma_element(lam, abar, b, dvec, d) -> GroupElement:
         raise DetNotOneError("unimodular factor must have determinant 1")
     n = len(abar)
     q = tuple(tuple(lam * abar[i][j] for j in range(n)) for i in range(n))
-    return GroupElement(n=n, q=q, p=_zeros(n), dvec=_vec(dvec), c=lam * lam,
+    return GroupElement(n=n, q=q, p=_vec([0] * n), dvec=_vec(dvec), c=lam * lam,
                         r=_vec(b), d=Fraction(d))
 
 

@@ -30,17 +30,16 @@ from .algebra import (
     KIND_COORD,
     KIND_DEP,
     KIND_FUNC,
-    Monomial,
     Poly,
     _check_exponents,
     _field_mask,
-    _fields,
     _shift,
     atom_str,
     coord,
     divide_exact,
     exact_quotient,
     integer_primitive,
+    mono_pairs,
     nullspace,
     _reduced_echelon,
     _solve_columns,
@@ -97,11 +96,8 @@ class GeneratorBasis(namedtuple("GeneratorBasis", "fields n regime")):
 
     def __new__(cls, fields, n, regime):
         self = super().__new__(cls, fields, n, regime)
-        monos = _span_monomials(self.fields)
-        vecs = [_field_vector(v, monos) for v in self.fields]
-        # columns = fields; independence <=> trivial nullspace
-        rows = [[vec[r] for vec in vecs] for r in range(len(monos) * (self.n + 1))]
-        dim, _ = nullspace(rows, ncols=len(self.fields))
+        # independence <=> trivial nullspace
+        dim, _ = nullspace(_field_rows(self.fields), ncols=len(self.fields))
         if dim != 0:
             raise ValueError(f"generator basis for {self.regime} is dependent")
         return self
@@ -148,31 +144,22 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     return VectorField(v.n, xi, phi)
 
 
-def _span_monomials(fields) -> list[Monomial]:
-    monos: set[Monomial] = set()
-    for f in fields:
-        for p in (*f.xi, f.phi):
-            monos.update(p.terms)
-    return sorted(monos)  # any fixed row order: the echelon form is unique
-
-
-def _field_vector(v: VectorField, monos: list[Monomial]) -> list[Fraction]:
-    out: list[Fraction] = []
-    for p in (*v.xi, v.phi):
-        for m in monos:
-            out.append(p.terms.get(m, Fraction(0)))
-    return out
+def _field_rows(fields) -> list[list[Fraction]]:
+    """The matrix whose columns are the coefficients of `fields`: a row per
+    component (xi^1..xi^n, phi) and monomial of any of them, in any fixed
+    order (the echelon form is unique)."""
+    monos = sorted({m for f in fields for p in (*f.xi, f.phi) for m in p.terms})
+    return [[p.terms.get(m, Fraction(0)) for p in comps]
+            for comps in zip(*((*f.xi, f.phi) for f in fields)) for m in monos]
 
 
 def _span_solutions(fields, targets) -> list[list[Fraction] | None]:
     """The exact coordinates of every target in the span of `fields`, None
     for one outside it, from one elimination."""
-    monos = _span_monomials([*fields, *targets])
-    vecs = [_field_vector(f, monos) for f in fields]
-    tvecs = [_field_vector(t, monos) for t in targets]
-    nrows = len(tvecs[0]) if tvecs else 0
-    return _solve_columns([[vec[r] for vec in vecs] for r in range(nrows)],
-                          tvecs)
+    rows = _field_rows([*fields, *targets])
+    k = len(fields)
+    return _solve_columns([r[:k] for r in rows],
+                          [[r[t] for r in rows] for t in range(k, k + len(targets))])
 
 
 def closure_check(basis: GeneratorBasis
@@ -421,7 +408,8 @@ def _exponents(n: int, low: int, high: int) -> list[tuple[int, ...]]:
             if low <= sum(a) <= high]
 
 
-def taylor_rows(eqs: tuple[Poly, ...], n: int, order: int
+def taylor_rows(eqs: tuple[Poly, ...], n: int, order: int,
+                degree: int | None = None
                 ) -> list[dict[tuple[int, tuple[int, ...]], int | Fraction]]:
     """The rows d^beta(eq) for every equation and every |beta| <= order.
 
@@ -429,28 +417,25 @@ def taylor_rows(eqs: tuple[Poly, ...], n: int, order: int
     derivatives are equations on the Taylor coefficients.  A column
     (comp, alpha) is the derivative of xi^comp (phi for 0) by the exponents
     alpha of (x1..xn, u): the func atom (comp, xs, du) at beta = 0.
+
+    A field of degree <= `degree` has no Taylor coefficient of higher
+    order: with a degree, those columns are dropped, and so is every row
+    that keeps none, d^beta(eq) with (lowest order in eq) + |beta| >
+    degree.  The other rows keep their order.
     """
-    shifts = _exponents(n, 0, order)
     rows = []
     for eq in eqs:
-        terms = _taylor_terms(eq, n)
-        rows += (_shifted(terms, beta) for beta in shifts)
+        terms = []
+        for m, lam in eq.terms.items():
+            [((_, comp, xs, du), _)] = mono_pairs(m)  # one func atom per term
+            terms.append((comp, (*map(xs.count, range(1, n + 1)), du), lam))
+        top = order if degree is None else min(order, degree - min(
+            (sum(alpha) for _, alpha, _ in terms), default=degree + 1))
+        for beta in _exponents(n, 0, top):
+            rows.append({(comp, tuple(map(add, alpha, beta))): lam
+                         for comp, alpha, lam in terms
+                         if degree is None or sum(alpha) + sum(beta) <= degree})
     return rows
-
-
-def _taylor_terms(eq: Poly, n: int) -> list[tuple[int, tuple[int, ...], int | Fraction]]:
-    """The (comp, alpha, coefficient) terms of a determining equation."""
-    out = []
-    for m, lam in eq.terms.items():
-        [((_, comp, xs, du), _)] = _fields(m)  # one func atom per term
-        out.append((comp, (*map(xs.count, range(1, n + 1)), du), lam))
-    return out
-
-
-def _shifted(terms, beta: tuple[int, ...]) -> dict:
-    """The row d^beta of an equation given by its `_taylor_terms`."""
-    return {(comp, tuple(map(add, alpha, beta))): lam
-            for comp, alpha, lam in terms}
 
 
 def degree_certified(eqs: tuple[Poly, ...], n: int, degree: int,
@@ -478,15 +463,13 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
                      eqs: tuple[Poly, ...] | None = None
                      ) -> tuple[int, list[VectorField]]:
     """Dimension (and a basis) of the space of polynomial fields of total
-    degree <= degree solving the determining system.
+    degree <= K = `degree` solving the determining system.
 
-    A degree-K field has no Taylor coefficient of order > K: its equations
-    are `taylor_rows(eqs, n, K)` without those columns.  A row d^beta(eq)
-    keeps a column only when (lowest order in eq) + |beta| <= K, so only
-    those rows are built, in the same order.  Scaling column
-    (comp, alpha) by alpha! makes the unknowns the monomial coefficients,
-    ordered xi^1..xi^n, phi, each over the sorted exponents.  The count is
-    the whole algebra when `degree_certified` holds at some degree <= K.
+    The unknowns are the monomial coefficients, ordered xi^1..xi^n, phi,
+    each over the sorted exponents: the rows `taylor_rows(eqs, n, K, K)`
+    of a degree-K field, column (comp, alpha) scaled by alpha!, copies
+    dropped.  The count is the whole algebra when `degree_certified` holds
+    at some degree <= K.
     """
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
@@ -498,14 +481,10 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
     col_of = {c: k for k, c in enumerate(itertools.product(comps, exps))}
     scale = {a: prod(map(factorial, a)) for a in exps}
     rows = {}  # integer primitive form -> row, so copies are dropped
-    for eq in eqs:
-        terms = _taylor_terms(eq, n)
-        low = min((sum(alpha) for _, alpha, _ in terms), default=degree + 1)
-        for beta in _exponents(n, 0, degree - low):
-            kept = integer_primitive({col_of[c]: v * scale[c[1]]
-                                      for c, v in _shifted(terms, beta).items()
-                                      if c in col_of})
-            rows[frozenset(kept.items())] = kept
+    for row in taylor_rows(eqs, n, degree, degree):
+        kept = integer_primitive({col_of[c]: v * scale[c[1]]
+                                  for c, v in row.items()})
+        rows[frozenset(kept.items())] = kept
     dim, basis = nullspace(list(rows.values()), len(col_of))
     variables = (*map(coord, range(1, n + 1)), DEP)
     fields = []

@@ -379,6 +379,46 @@ class TestOrbit:
         assert json.loads(out)["error"]["type"] == "OverflowError"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("q, solution", [
+        ('"1e10000000"', "am1d:theta=1/2,a=1,b=1"),
+        ("1" + "0" * 5000, "am1d:theta=1/2,a=1,b=1"),
+        ("2", "quadratic:diag=1e10000000"),
+        ("2", "am1d:theta=1/2,a=1e10000000,b=1")],
+        ids=["element", "element-integer", "quadratic", "am1d"])
+    def test_number_past_the_bit_bound_is_refused(self, capsys, tmp_path, q,
+                                                  solution):
+        # Fraction("1e10000000") alone computes 10**10000000, for seconds, and
+        # json reads no integer literal past 4300 digits; q is JSON text
+        element = tmp_path / "g.json"
+        element.write_text('{"Q": [[%s]]}' % q)
+        code = main(["--n", "1", "--theta", "1/2", "--output", "json",
+                     "orbit", "--eq", "am", "--element", str(element),
+                     "--solution", solution])
+        out, err = capsys.readouterr()
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "NumberTooLargeError"
+        assert "4096" in error["message"]
+        assert "Traceback" not in err
+
+
+class TestReadNumber:
+    @pytest.mark.parametrize("text, value", [
+        ("1e1233", Fraction(10) ** 1233), ("-3/4", Fraction(-3, 4)),
+        ("2.5e-3", Fraction(1, 400)), ("0e10000000", 0), ("7", 7),
+        ("1" + "0" * 4000 + "e-4000", 1)],
+        ids=["power", "ratio", "decimal", "zero", "int", "long-mantissa"])
+    def test_exact_within_the_bound(self, text, value):
+        assert cli._read_number(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e1234", "-1e-1234", "1e-10000000", "1" * 1300, "1/" + "3" * 1300,
+        "0." + "1" * 5000],
+        ids=["power", "inverse", "tiny", "numerator", "denominator", "long"])
+    def test_refused_past_the_bound(self, text):
+        with pytest.raises(cli.NumberTooLargeError):
+            cli._read_number(text)
+
 
 def test_closed_pipe_is_not_a_traceback(tmp_path):
     (tmp_path / "v.vf").write_text("xi1 = 1")

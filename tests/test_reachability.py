@@ -29,9 +29,6 @@ EXTRA = {
     "prolong-recursive-only": (
         0, ["--n", "2", "prolong", "--field", "v.vf", "--order", "2"],
         {"v.vf": PROLONG_FIELD}),
-    "bracket-table-ma": (0, ["--n", "2", "bracket-table", "--basis", "ma"], {}),
-    "bracket-table-am-generic": (
-        0, ["--n", "2", "bracket-table", "--basis", "am-generic"], {}),
     "orbit-ma": (
         0, ["--n", "2", "orbit", "--eq", "ma", "--element", "g.json",
             "--solution", "quadratic:identity", "--points", "2"],
@@ -55,11 +52,9 @@ NOT_REACHED = {
     "algebra.Poly.__rsub__": "protocol method",
     "algebra.Poly.collect": "tracer hook (perfbench/tracer.py wraps it)",
     "groups.SolutionSample.gradient": "tracer hook (perfbench/tracer.py wraps it)",
-    "groups._zeros": "called only by make_ma_element",
     "groups.make_ma_element": "oracle: the second-order group element",
     "symmetry._Equations.equations": "tracer hook (perfbench/tracer.py reads it)",
     "symmetry.satisfies_determining": "oracle of the determining system",
-    "symmetry.taylor_rows": "certificate: rows of degree_certified",
     "symmetry.degree_certified": "certificate: the degree bound of a count",
     "symmetry.mutual_span": "oracle: two-sided span of two bases",
     "symmetry.NotClosedError.__init__": "error path only",

@@ -160,7 +160,7 @@ class TestElimination:
         # no polynomial multiple of F but vanishes where F = 0 and x1 != 0
         det = (Poly.variable(jet(1, 1)) * Poly.variable(jet(2, 2))
                - Poly.variable(jet(1, 2)) ** 2)
-        sys = PdeSystem(n=2, order=2, F=(det - 1) * x1, top_var=jet(2, 2))
+        sys = PdeSystem(n=2, F=(det - 1) * x1, top_var=jet(2, 2))
         v = vf(2, [ONE, ZERO])
         R, cleared = eliminated(sys, v)
         assert divide_exact(R, sys.F) is None
@@ -491,7 +491,7 @@ def affine_jet_equations(draw):
         return out
     A = poly()
     assume(not A.is_zero)
-    return PdeSystem(n=n, order=order, F=A * Poly.variable(top) + poly(),
+    return PdeSystem(n=n, F=A * Poly.variable(top) + poly(),
                      top_var=top)
 
 
@@ -553,14 +553,14 @@ class TestShards:
     def test_no_shard_atom_is_one_shard(self):
         # A = u[1] puts the only first-order jet in every W_r
         u1, u11 = Poly.variable(jet(1)), Poly.variable(jet(1, 1))
-        sys = PdeSystem(n=1, order=2, F=u1 * u11 + u1 ** 3 - 2, top_var=jet(1, 1))
+        sys = PdeSystem(n=1, F=u1 * u11 + u1 ** 3 - 2, top_var=jet(1, 1))
         assert len(list(_shards(*products(sys)))) == 1
         assert_matches_reference(sys)
 
     def test_products_overflow(self):
         # c_r and W_r fit EXP_MAX = 127 in u[1], their products do not
         u1, u11 = Poly.variable(jet(1)), Poly.variable(jet(1, 1))
-        sys = PdeSystem(n=1, order=2, F=u1 ** 63 * (u11 + 1), top_var=jet(1, 1))
+        sys = PdeSystem(n=1, F=u1 ** 63 * (u11 + 1), top_var=jet(1, 1))
         with pytest.raises(ExponentOverflowError):
             extract_determining(sys)
 
@@ -608,9 +608,8 @@ class TestDetermining:
 
     def test_scaling_F_keeps_the_system(self, am2_special):
         eqs = extract_determining(am2_special)
-        n, order, F, top_var, theta = am2_special
-        eqs7 = extract_determining(
-            PdeSystem(n, order, F * Fraction(7, 3), top_var, theta))
+        n, F, top_var = am2_special
+        eqs7 = extract_determining(PdeSystem(n, F * Fraction(7, 3), top_var))
         assert unknowns_of(eqs7) == unknowns_of(eqs)
         assert [eq.terms for eq in eqs7] == [eq.terms for eq in eqs]
 
@@ -622,12 +621,12 @@ class TestDetermining:
         # u'' = x1 has the symmetry phi = u - x1^3/6, certified by an exact
         # multiplier, but collecting by x1 would split its equations wrongly
         F = Poly.variable(jet(1, 1)) - x1
-        sys = PdeSystem(n=1, order=2, F=F, top_var=jet(1, 1))
+        sys = PdeSystem(n=1, F=F, top_var=jet(1, 1))
         v = vf(1, [ZERO], u - Fraction(1, 6) * x1 ** 3)
         assert infinitesimal_check(sys, v, trials=3).verdict == "multiplier-found"
         with pytest.raises(ExplicitVariableError, match="x1"):
             extract_determining(sys)
-        with_u = PdeSystem(n=1, order=2, F=F + x1 - u, top_var=jet(1, 1))
+        with_u = PdeSystem(n=1, F=F + x1 - u, top_var=jet(1, 1))
         with pytest.raises(ExplicitVariableError, match="u"):
             extract_determining(with_u)
 
@@ -727,6 +726,17 @@ class TestTaylorRows:
             {(0, (0, 2)): 1, (1, (1, 1)): -1},
             {(0, (1, 1)): 1, (1, (2, 0)): -1},
         ]
+
+    def test_truncated_rows_are_the_full_rows_cut_at_the_degree(
+            self, ma2, am2_theta1):
+        # the ansatz's rows: columns past the degree dropped, then the rows
+        # left empty (an empty equation included), the others in order
+        for sys in (ma2, am2_theta1):
+            eqs = (*extract_determining(sys), Poly.zero())
+            for k in range(1, 4):
+                cut = [{c: v for c, v in row.items() if sum(c[1]) <= k}
+                       for row in taylor_rows(eqs, 2, k)]
+                assert taylor_rows(eqs, 2, k, k) == [row for row in cut if row]
 
     def test_smallest_certified_degree_and_order(self, ma2, am2_theta1,
                                                  am2_special):
