@@ -330,19 +330,7 @@ class Poly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = _canon(v)
-            else:
-                out.pop(m, None)
-        return Poly(out)
+        return poly_sum((self, _as_poly(other)))
 
     __radd__ = __add__
 
@@ -550,13 +538,10 @@ class Poly:
     # -- structure queries ---------------------------------------------------
 
     def coefficient_powers(self, a: Atom) -> dict[int, "Poly"]:
-        """Collect by the exponent of one atom: p = sum_r result[r] * a^r."""
+        """`collect` by one atom, keyed by its exponent: p = sum_r
+        result[r] * a^r."""
         sh = _shift(a)
-        buckets: dict[int, dict[Monomial, int | Fraction]] = {}
-        for m, c in self.terms.items():
-            e = (m >> sh) & _FIELD_MASK
-            buckets.setdefault(e, {})[m - (e << sh)] = c
-        return {e: Poly(t) for e, t in buckets.items()}
+        return {k >> sh: q for k, q in self.collect(lambda b: b == a).items()}
 
     def collect(self, select: Callable[[Atom], bool]) -> dict[Monomial, "Poly"]:
         """Group terms by their sub-monomial over the selected atoms."""
@@ -612,9 +597,8 @@ def _as_poly(value) -> Poly:
 
 
 def poly_sum(polys: Iterable[Poly]) -> Poly:
-    """The sum of the polynomials, accumulated in one term map: the same
-    terms, in the same order, as adding them one at a time, without
-    copying the running sum at every step or at the end."""
+    """The sum of the polynomials, accumulated in one term map, each
+    coefficient made canonical as it is touched; `+` is the sum of two."""
     rest = iter(polys)
     out = dict(next(rest, Poly({})).terms)
     get = out.get
@@ -622,12 +606,9 @@ def poly_sum(polys: Iterable[Poly]) -> Poly:
         for m, c in p.terms.items():
             v = get(m, 0) + c
             if v:
-                out[m] = v
+                out[m] = v if type(v) is int else _canon(v)
             else:
                 del out[m]
-    for m, c in out.items():
-        if type(c) is not int:
-            out[m] = _canon(c)
     return Poly(out)
 
 

@@ -87,7 +87,7 @@ def _build_system(config: SessionConfig, eq: str, expr: str | None) -> PdeSystem
             F = F.substitute_atoms({THETA: Poly.const(config.theta)})
         # the top variable: a highest-order jet in which F is affine-linear
         tops = [a for a in F.atoms()
-                if a[0] == KIND_JET and F.diff(a).diff(a).is_zero]
+                if a[0] == KIND_JET and max(F.coefficient_powers(a)) <= 1]
         if not tops:
             raise ValueError("no jet variable occurs affine-linearly; "
                              "cannot sample this equation")

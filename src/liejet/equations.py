@@ -52,8 +52,7 @@ class PdeSystem(namedtuple("PdeSystem", "n F top_var")):
         self = super().__new__(cls, n, F, top_var)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if not (self.F.diff(self.top_var)).diff(self.top_var).is_zero:
-            raise ValueError("F must be affine-linear in top_var")
+        self.top_split  # refuses an F not affine-linear in top_var
         if any(a[0] == KIND_FUNC for a in self.F.atoms()):
             raise ValueError("F must not contain unknown-function symbols")
         return self
@@ -62,7 +61,7 @@ class PdeSystem(namedtuple("PdeSystem", "n F top_var")):
     def order(self) -> int:  # the highest jet order in F
         return self.F.max_jet_order()
 
-    @property
+    @cached_property
     def theta_symbolic(self) -> bool:
         return THETA in self.F.atoms()
 
@@ -70,6 +69,8 @@ class PdeSystem(namedtuple("PdeSystem", "n F top_var")):
     def top_split(self) -> tuple[Poly, Poly]:
         """(A, B) with F = A * top_var + B; neither holds top_var."""
         parts = self.F.coefficient_powers(self.top_var)
+        if max(parts, default=0) > 1:
+            raise ValueError("F must be affine-linear in top_var")
         return parts.get(1, Poly.zero()), parts.get(0, Poly.zero())
 
 

@@ -31,10 +31,10 @@ from .algebra import (
     KIND_COORD,
     KIND_JET,
     Poly,
-    _fields,
     _solve_columns,
     coord,
     jet,
+    mono_pairs,
     multi_indices,
     point_partial,
     rat_det,
@@ -168,18 +168,10 @@ class SolutionSample(namedtuple("SolutionSample", "n kind poly fn center radius"
         return tuple(self.poly.diff(coord(i + 1)) for i in range(self.n))
 
     def gradient(self, x: Sequence[float]) -> list[float]:
-        if self.kind == "polynomial":
-            env = {coord(i + 1): float(x[i]) for i in range(self.n)}
-            return [d.evaluate_float(env) for d in self._partials]
-        h = 1e-6
-        out = []
-        for i in range(self.n):
-            xp = list(x)
-            xm = list(x)
-            xp[i] += h
-            xm[i] -= h
-            out.append((self.fn(xp) - self.fn(xm)) / (2 * h))
-        return out
+        if self.kind != "polynomial":
+            raise ValueError("a gradient needs a polynomial sample")
+        env = {coord(i + 1): float(x[i]) for i in range(self.n)}
+        return [d.evaluate_float(env) for d in self._partials]
 
 
 def polynomial_sample(n: int, p: Poly) -> SolutionSample:
@@ -428,7 +420,8 @@ def transport_local(g: GroupElement, s: SolutionSample,
             mapping[a] = image[a[1] - 1]
     by_weight: dict[int, dict] = {}
     for m, c in sys.F.terms.items():
-        w = sum(e * (2 * len(a[1]) - 1) for a, e in _fields(m) if a[0] == KIND_JET)
+        w = sum(e * (2 * len(a[1]) - 1)
+                for a, e in mono_pairs(m) if a[0] == KIND_JET)
         by_weight.setdefault(w, {})[m] = c
     power = max(by_weight, default=0)
     cleared = Poly.zero()

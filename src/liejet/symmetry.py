@@ -37,7 +37,6 @@ from .algebra import (
     atom_str,
     coord,
     divide_exact,
-    exact_quotient,
     integer_primitive,
     mono_pairs,
     nullspace,
@@ -91,11 +90,15 @@ class CheckReport(namedtuple("CheckReport", "verdict samples seed trials "
         return self.verdict != VERDICT_FAILS
 
 
-class GeneratorBasis(namedtuple("GeneratorBasis", "fields n regime")):
-    """A linearly independent list of generators for one regime."""
+class GeneratorBasis(namedtuple("GeneratorBasis", "fields regime")):
+    """A linearly independent list of generators of one dimension for one
+    regime."""
 
-    def __new__(cls, fields, n, regime):
-        self = super().__new__(cls, fields, n, regime)
+    def __new__(cls, fields, regime):
+        self = super().__new__(cls, fields, regime)
+        if len({f.n for f in self.fields}) > 1:
+            raise ValueError(f"generator basis for {self.regime} mixes "
+                             "dimensions")
         # independence <=> trivial nullspace
         dim, _ = nullspace(_field_rows(self.fields), ncols=len(self.fields))
         if dim != 0:
@@ -217,7 +220,7 @@ def monge_ampere_basis(n: int) -> GeneratorBasis:
         fields.append(VectorField(n, tuple(xi), Poly.zero()))
     fields.append(VectorField(
         n, _unit_xi(n, 1, n * Poly.variable(coord(1))), 2 * u))
-    return GeneratorBasis(tuple(fields), n, "ma")
+    return GeneratorBasis(tuple(fields), "ma")
 
 
 def affine_maximal_basis(n: int, special: bool = False) -> GeneratorBasis:
@@ -240,7 +243,7 @@ def affine_maximal_basis(n: int, special: bool = False) -> GeneratorBasis:
         for i in range(1, n + 1):
             fields.append(VectorField(n, _unit_xi(n, i, u), Poly.zero()))
     regime = "am-special" if special else "am-generic"
-    return GeneratorBasis(tuple(fields), n, regime)
+    return GeneratorBasis(tuple(fields), regime)
 
 
 def expected_dimension(name: str, n: int, theta: Fraction | None = None) -> int:
@@ -301,19 +304,20 @@ def _shards(pairs: list[tuple[Poly, Poly]], atom_of: dict) -> Iterator[dict]:
 
 def _linear_system(shards: Iterable[dict], key: Callable) -> tuple[Poly, ...]:
     """The equations from shards of `_add_products` groups that share no
-    jet monomial: one equation per class of nonzero groups that
-    are multiples of each other, scaled to leading coefficient 1 (at the
-    largest atom), in the order of the class's smallest `key`, which does
-    not depend on the order groups arrive in and is that of sorting every
-    group by key and keeping the first copy.  A class is the atom of a
-    single term, else the integer primitive form with a positive leading
-    coefficient.  Each shard is released before the next is built."""
-    classes: dict = {}  # atom or primitive form -> (key, terms or None)
+    jet monomial: one equation per class of nonzero groups that are
+    multiples of each other, in the order of the class's smallest `key`,
+    which does not depend on the order groups arrive in and is that of
+    sorting every group by key and keeping the first copy.  A class is the
+    atom of a single term, else the integer primitive form with a positive
+    coefficient at its largest atom; its equation is that form scaled to
+    coefficient 1 there.  Each shard is released before the next is
+    built."""
+    classes: dict = {}  # atom or primitive form -> smallest key
     for jm, g in itertools.chain.from_iterable(map(dict.items, shards)):
         if type(g) is tuple:  # (atom, c): the class of a nonzero c is its atom
             if not g[1]:
                 continue
-            cls, terms = g[0], None
+            cls = g[0]
         else:
             terms = {a: c for a, c in g.items() if c}
             if len(terms) > 1:
@@ -322,20 +326,20 @@ def _linear_system(shards: Iterable[dict], key: Callable) -> tuple[Poly, ...]:
                 cls = frozenset((a, sign * v) for a, v in form.items())
             elif terms:
                 [cls] = terms
-                terms = None
             else:
                 continue
         k = key(jm)
-        if cls not in classes or k < classes[cls][0]:
-            classes[cls] = (k, terms)
+        if cls not in classes or k < classes[cls]:
+            classes[cls] = k
     equations = []
-    for cls, (_, terms) in sorted(classes.items(), key=lambda item: item[1][0]):
-        if terms is None:
+    for cls in sorted(classes, key=classes.__getitem__):
+        if type(cls) is not frozenset:
             equations.append(Poly.variable(cls))
             continue
-        lead = terms[max(terms)]
-        equations.append(Poly({1 << _shift(a): exact_quotient(c, lead)
-                               for a, c in terms.items()}))
+        form = sorted(cls)
+        lead = form[-1][1]
+        equations.append(Poly.from_terms((((a, 1),), Fraction(v, lead))
+                                         for a, v in form))
     return tuple(equations)
 
 
@@ -467,9 +471,8 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
 
     The unknowns are the monomial coefficients, ordered xi^1..xi^n, phi,
     each over the sorted exponents: the rows `taylor_rows(eqs, n, K, K)`
-    of a degree-K field, column (comp, alpha) scaled by alpha!, copies
-    dropped.  The count is the whole algebra when `degree_certified` holds
-    at some degree <= K.
+    of a degree-K field, column (comp, alpha) scaled by alpha!.  The count
+    is the whole algebra when `degree_certified` holds at some degree <= K.
     """
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
@@ -480,12 +483,9 @@ def ansatz_dimension(sys: PdeSystem, degree: int,
     comps = [*range(1, n + 1), 0]
     col_of = {c: k for k, c in enumerate(itertools.product(comps, exps))}
     scale = {a: prod(map(factorial, a)) for a in exps}
-    rows = {}  # integer primitive form -> row, so copies are dropped
-    for row in taylor_rows(eqs, n, degree, degree):
-        kept = integer_primitive({col_of[c]: v * scale[c[1]]
-                                  for c, v in row.items()})
-        rows[frozenset(kept.items())] = kept
-    dim, basis = nullspace(list(rows.values()), len(col_of))
+    rows = [{col_of[c]: v * scale[c[1]] for c, v in row.items()}
+            for row in taylor_rows(eqs, n, degree, degree)]
+    dim, basis = nullspace(rows, len(col_of))
     variables = (*map(coord, range(1, n + 1)), DEP)
     fields = []
     for vec in basis:

@@ -5,6 +5,8 @@ and compares stdout with `tests/golden/<name>.json` and the exit code with
 the one recorded here.  The set covers every `check` verdict and every
 subcommand, so a refactor that must not change results (verdicts, counts,
 witnesses, term order, formatting) is checked against fixed reports.
+Each case also runs with `--output text`, which must exit the same way and
+print the summary line its golden report implies.
 """
 
 import json
@@ -100,3 +102,40 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--output", "json"]) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def summary_line(report: dict, argv: list[str]) -> str:
+    """The text a command prints for the first result of its JSON report."""
+    first = report["results"][0]
+    command = report["command"]
+    if command == "check":
+        return f"verdict: {first['verdict']}"
+    if command == "classify":
+        return (f"ansatz degree {report['config']['ansatz_degree']}: "
+                f"dimension {first['dimension']} (expected {first['expected']})")
+    if command == "determining":
+        return (f"{len(first['equations'])} equations in "
+                f"{len(first['unknowns'])} unknowns")
+    if command == "bracket-table":
+        return (f"basis {argv[argv.index('--basis') + 1]}: closed, "
+                f"{len(first['structure_constants'])} bracket pairs")
+    if command == "prolong":
+        suffix = "  [explicit ok]" if first.get("explicit_matches") else ""
+        return f"phi^({first['index']}) = {first['coefficient']}{suffix}"
+    if command == "orbit":
+        return "PASS" if first["passed"] else "FAIL"
+    # sample prints its points as the JSON list of the report
+    return json.dumps(report["results"], sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_output_agrees_with_golden(name, capsys, tmp_path, monkeypatch):
+    exit_code, argv, files = CASES[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output", "text"]) == exit_code
+    out, err = capsys.readouterr()
+    assert out and "Traceback" not in out + err
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert summary_line(report, argv) + "\n" in out

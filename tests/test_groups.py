@@ -179,6 +179,12 @@ class TestSolutionFamilies:
         assert s.gradient(x) == want
         assert s.gradient(x) == want  # second call reuses the partials
 
+    def test_gradient_refuses_a_callable_sample(self):
+        s = solution_family("am1d", {"theta": Fraction(1, 2), "a": 1, "b": 1})
+        assert s.kind == "callable"
+        with pytest.raises(ValueError, match="polynomial sample"):
+            s.gradient([0.1])
+
     def test_ma_needs_unit_determinant(self, ma2):
         s = solution_family("quadratic", {"M": [[2, 0], [0, 1]]})
         r = residual_polynomial(s, ma2)

@@ -6,9 +6,9 @@ rational polynomials and returns rational polynomials, so no caller
 rescales.  Outside `algebra`, only `symmetry.extract_determining` reads
 `integer_form`: it scales F because a homogeneous system does not change,
 not for speed.  The packed monomial layout (field shifts, masks, the atom
-table, the guard bits) is read outside `algebra` only where a kernel of
-the determining system or of the exact transport works on packed
-monomials; everything else decodes with `mono_pairs`.  The references are
+table, the guard bits) is read outside `algebra` only by the product
+kernel of the determining system, which works on packed monomials;
+everything else decodes with `mono_pairs`.  The references are
 found with `ast`.
 """
 
@@ -52,5 +52,4 @@ LAYOUT = ("_shift", "_fields", "_field_mask", "_check_exponents", "_SHIFT",
 
 def test_packed_layout_read_only_by_the_packed_kernels():
     assert set().union(*map(_readers, LAYOUT)) == {
-        "symmetry._shards", "symmetry._linear_system",
-        "symmetry.extract_determining", "groups.transport_local"}
+        "symmetry._shards", "symmetry.extract_determining"}

@@ -50,7 +50,6 @@ NOT_REACHED = {
     "algebra.Poly.__bool__": "protocol method",
     "algebra.Poly.__repr__": "protocol method",
     "algebra.Poly.__rsub__": "protocol method",
-    "algebra.Poly.collect": "tracer hook (perfbench/tracer.py wraps it)",
     "groups.SolutionSample.gradient": "tracer hook (perfbench/tracer.py wraps it)",
     "groups.make_ma_element": "oracle: the second-order group element",
     "symmetry._Equations.equations": "tracer hook (perfbench/tracer.py reads it)",

@@ -234,7 +234,14 @@ class TestGeneratorBases:
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
-            GeneratorBasis((vf(1, [ONE]), vf(1, [2 * ONE])), 1, "dup")
+            GeneratorBasis((vf(1, [ONE]), vf(1, [2 * ONE])), "dup")
+
+    def test_mixed_dimension_basis_rejected(self):
+        # d/dx1 at N=1 and d/dx2 at N=2: zipping their components would
+        # compare the first field's phi with the second field's xi^2
+        assert GeneratorBasis._fields == ("fields", "regime")
+        with pytest.raises(ValueError, match="mixes dimensions"):
+            GeneratorBasis((vf(1, [ONE]), vf(2, [ZERO, ONE])), "mixed")
 
     def test_expected_dimensions(self):
         assert expected_dimension("ma", 1) == 8
@@ -296,7 +303,7 @@ class TestClosure:
         assert recomposed_phi == br.phi
 
     def test_quadratic_coefficient_escapes(self):
-        basis = GeneratorBasis((vf(1, [ONE]), vf(1, [x1 * x1])), 1, "probe")
+        basis = GeneratorBasis((vf(1, [ONE]), vf(1, [x1 * x1])), "probe")
         with pytest.raises(NotClosedError) as err:
             closure_check(basis)
         assert err.value.pair == (0, 1)
@@ -307,7 +314,7 @@ class TestClosure:
         # (0, 3) has the same bracket; (0, 1) closes
         x3 = x1 * x1 * x1
         basis = GeneratorBasis((vf(1, [ONE]), vf(1, [ZERO], ONE),
-                                vf(1, [x3]), vf(1, [x3 + u])), 1, "probe")
+                                vf(1, [x3]), vf(1, [x3 + u])), "probe")
         fields = basis.fields
         escapes = [(pair, br) for pair in itertools.combinations(range(4), 2)
                    if _span_solutions(
